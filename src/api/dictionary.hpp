@@ -109,14 +109,6 @@
 //   * The primary signatures take costream::Span<T> (common/span.hpp) —
 //     implicitly constructible from std::vector, std::array, C arrays, or
 //     an explicit {ptr, len} pair.
-//   * DEPRECATED (pointer-form shims): the pre-span two-argument forms
-//     `insert_batch(const Entry<K,V>*, n)`, `erase_batch(const K*, n)` and
-//     `apply_batch(const Op<K,V>*, n)` remain for one release as thin
-//     delegating shims. Migrate `d.insert_batch(v.data(), v.size())` to
-//     `d.insert_batch(v)` (or `{ptr, len}` where no container exists); the
-//     repository's `deprecated-api` CI lint rejects in-repo callers of the
-//     pointer forms, and the shims will be removed in the release after
-//     next.
 //   * The input run may be UNSORTED and may contain DUPLICATE keys; the
 //     structure sorts and deduplicates internally.
 //   * Within the batch the LAST operation on a key wins — for apply_batch
@@ -484,17 +476,6 @@ class AnyDictionary {
   void erase(Key k) { impl_->erase(k); }
   void erase_batch(Span<Key> keys) { impl_->erase_batch(keys); }
   void apply_batch(Span<Op<>> ops) { impl_->apply_batch(ops); }
-  // Deprecated pointer-form batch shims (one release; migration note in the
-  // header comment — CI's deprecated-api lint rejects in-repo callers).
-  void insert_batch(const Entry<>* data, std::size_t n) {
-    insert_batch(Span<Entry<>>(data, n));
-  }
-  void erase_batch(const Key* keys, std::size_t n) {
-    erase_batch(Span<Key>(keys, n));
-  }
-  void apply_batch(const Op<>* ops, std::size_t n) {
-    apply_batch(Span<Op<>>(ops, n));
-  }
   std::optional<Value> find(Key k) const { return impl_->find(k); }
   void range_for_each(Key lo, Key hi, const RangeFn& fn) const {
     impl_->range_for_each(lo, hi, fn);

@@ -61,8 +61,20 @@ inline shuttle::ShuttleConfig to_shuttle_config(const DictConfig& c) {
 /// sharded reads. Splitters are learned from the first batch (or key-prefix
 /// defaults); pass explicit boundaries by constructing ShardedDictionary
 /// directly.
+///
+/// A non-empty durable_dir is accepted only for kind "cola" with one
+/// shard: other kinds have no durable tier, and S shards would share one
+/// WAL and one manifest. Both throw std::invalid_argument.
 inline AnyDictionary make_dictionary(const std::string& kind,
                                      const DictConfig& cfg = DictConfig{}) {
+  if (!cfg.durable_dir.empty() && kind != "cola") {
+    throw std::invalid_argument("make_dictionary: durable_dir requires kind cola, not " +
+                                kind);
+  }
+  if (!cfg.durable_dir.empty() && cfg.shards > 1) {
+    throw std::invalid_argument(
+        "make_dictionary: durable_dir supports one shard (shards would share one WAL)");
+  }
   if (cfg.shards > 1) {
     DictConfig inner_cfg = cfg;
     inner_cfg.shards = 1;

@@ -129,18 +129,6 @@ class CobTree {
     }
   }
 
-  // Deprecated pointer-form batch shims (one release; migration note in
-  // api/dictionary.hpp — CI's deprecated-api lint rejects in-repo callers).
-  void insert_batch(const Ent* data, std::size_t n) {
-    insert_batch(Span<Ent>(data, n));
-  }
-  void erase_batch(const K* keys, std::size_t n) {
-    erase_batch(Span<K>(keys, n));
-  }
-  void apply_batch(const Op<K, V>* ops, std::size_t n) {
-    apply_batch(Span<Op<K, V>>(ops, n));
-  }
-
   /// Mutation epoch: bumped by every mutator (see snapshot()).
   std::uint64_t mutation_epoch() const noexcept { return mutation_epoch_; }
 

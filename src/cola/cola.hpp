@@ -103,6 +103,15 @@
 // of the data they shadow, and past the threshold the deepest level takes
 // a forced FULL compaction (levels 0..d into one segment — cross-level
 // duplicates die even at g = 2, where a level holds a single segment).
+//
+// One path per primitive, as in the paper, where every insert, batch, and
+// tombstoned delete is one merge into the first level with room. Ingest:
+// every mutator feeds ingest_run (sort in the caller's element form, then
+// stage_append into the arena or cascade_run into the levels; put() is a
+// one-element run). Fold: the forced retention fold and compact_all are one
+// full fold (fold_all). Install: inline folds and background installs land
+// through install_segment, which also reports the installed immutable
+// snap::Segment to the durable tier's FoldObserver.
 #pragma once
 
 #include <algorithm>
@@ -343,12 +352,13 @@ class Gcola {
   }
 
   /// Bytes of slot storage across all levels plus the staging arena
-  /// reservation (space accounting). Tiered levels store compact items and
-  /// only their occupancy.
+  /// reservation (space accounting). Classic levels count their
+  /// preallocated slot arrays, whatever their occupancy; tiered levels
+  /// store compact items and count only their occupancy plus filters.
   std::uint64_t bytes() const noexcept {
     std::uint64_t b = cfg_.staging_capacity * sizeof(TItem);
     for (const Level& lv : levels_) {
-      b += lv.slots.size() * sizeof(Slot) + lv.real_count * sizeof(TItem);
+      b += cfg_.tiered ? lv.real_count * sizeof(TItem) : lv.slots.size() * sizeof(Slot);
       for (const SegRef& seg : lv.segs) {
         b += seg->filter.size() * sizeof(std::uint64_t);
       }
@@ -373,9 +383,7 @@ class Gcola {
         continue;
       }
       const std::uint32_t b = stage_runs_[r];
-      const std::uint32_t e = r + 1 < stage_runs_.size()
-                                  ? stage_runs_[r + 1]
-                                  : static_cast<std::uint32_t>(stage_.size());
+      const std::uint32_t e = stage_run_end(r);
       std::uint32_t lo;
       if constexpr (std::is_same_v<MM, dam::null_mem_model>) {
         // No accounting to preserve: the branchless kernel searches the
@@ -483,18 +491,8 @@ class Gcola {
       // logical region — charged once per mutation epoch (the cache above);
       // hooked cursor reads then charge the copy's region per probe.
       for (std::size_t l = 0; l < levels_.size(); ++l) {
-        const Level& lv = levels_[l];
-        if (lv.real_count == 0) continue;
-        touch_region(l, lv.occ_begin,
-                     lv.slots.size() - lv.occ_begin, /*write=*/false);
-        snap_stage_view_.clear();
-        snap_stage_view_.reserve(lv.real_count);
-        for (std::uint32_t i = lv.occ_begin; i < lv.slots.size(); ++i) {
-          const Slot& s = lv.slots[i];
-          if (s.is_lookahead()) continue;
-          snap_stage_view_.push_back(s.key, s.value,
-                                     static_cast<std::uint8_t>(s.flags));
-        }
+        if (levels_[l].real_count == 0) continue;
+        extract_level_planes(l, snap_stage_view_);
         const std::uint64_t base = next_base_;
         next_base_ += snap_stage_view_.size() * sizeof(TItem);
         if (snap::SegmentRef<K, V> seg = snap::make_segment(
@@ -538,9 +536,7 @@ class Gcola {
     for (std::size_t r = stage_runs_.size(); r-- > 0;) {
       if (!stage_run_segs_[r]) {
         const std::uint32_t b = stage_runs_[r];
-        const std::uint32_t e = r + 1 < stage_runs_.size()
-                                    ? stage_runs_[r + 1]
-                                    : static_cast<std::uint32_t>(stage_.size());
+        const std::uint32_t e = stage_run_end(r);
         stage_run_segs_[r] = snap::make_segment(
             std::vector<K>(stage_.keys.begin() + b, stage_.keys.begin() + e),
             std::vector<V>(stage_.vals.begin() + b, stage_.vals.begin() + e),
@@ -600,76 +596,10 @@ class Gcola {
   /// into the shallowest level with room, instead of n independent cascades.
   /// A batch of n costs O((n + d)/B) transfers, d = displaced items — the
   /// bulk movement across block boundaries the paper's analysis is built on.
+  /// The run sorts in Entry form, half the bytes of a Slot (ingest_run).
   void insert_batch(Span<Entry<K, V>> batch) {
-    const Entry<K, V>* data = batch.data();
-    const std::size_t n = batch.size();
-    if (n == 0) return;
-    ++mutation_epoch_;
-    poll_install();
-    // Staging path: normalize the batch while it is small and cache-hot
-    // (sort + newest-wins dedup of k entries, not of the whole arena), then
-    // append it as one sorted run; the cascade only runs when the arena
-    // itself fills, and the flush merges presorted runs instead of sorting
-    // staging_capacity entries from scratch.
-    if (cfg_.staging_capacity > 0) {
-      ensure_stage_base();
-      // Sort in Entry form (half the bytes of a Slot) — duplicates KEPT in
-      // input order — then widen into the arena planes and let the
-      // vectorized keep-last kernel collapse them in place: the newest-wins
-      // result is identical to sort_dedup_newest_wins (stable sort + last
-      // occurrence per key), but the dedup scan runs data-parallel.
-      std::vector<Entry<K, V>>& run = stage_entry_scratch_;
-      run.assign(data, data + n);
-      sort_by_key(run, stage_entry_sort_scratch_);
-      stage_.reserve(std::max(cfg_.staging_capacity, stage_.size() + run.size()));
-      const std::size_t b = stage_.size();
-      stage_runs_.push_back(static_cast<std::uint32_t>(b));
-      append_widened(run.data(), run.data() + run.size(), stage_);
-      stats_.duplicates_dropped += kern::dedup_newest_wins(stage_, b, isa_);
-      stage_run_min_.push_back(stage_.keys[b]);
-      stage_run_max_.push_back(stage_.keys.back());
-      stage_run_segs_.emplace_back();
-      mm_.touch_write(stage_base_ + b * sizeof(TItem),
-                      (stage_.size() - b) * sizeof(TItem));
-      stats_.stage_absorbed += n;
-      // Keep the arena's run count logarithmic under tiny-batch feeds too
-      // (a size-1 insert_batch is a singleton append like put()'s).
-      counter_merge_stage_tail();
-      if (stage_.size() >= cfg_.staging_capacity) flush_stage();
-      return;
-    }
-    ensure_level(0);
-    if (cfg_.tiered) {
-      std::vector<Entry<K, V>>& run = stage_entry_scratch_;
-      run.assign(data, data + n);
-      sort_by_key(run, stage_entry_sort_scratch_);
-      titem_run_.clear();
-      append_widened(run.data(), run.data() + run.size(), titem_run_);
-      stats_.duplicates_dropped += kern::dedup_newest_wins(titem_run_, 0, isa_);
-      ++stats_.batch_merges;
-      incoming_spans_.assign(1, titem_run_.view());
-      cascade_run_tiered(titem_run_.size());
-      return;
-    }
-    std::vector<Slot>& run = scratch_batch_;
-    run.clear();
-    run.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot s{};
-      s.key = data[i].key;
-      s.value = data[i].value;
-      run.push_back(s);
-    }
-    const std::size_t before = run.size();
-    sort_dedup_newest_wins(run, scratch_a_);
-    stats_.duplicates_dropped += before - run.size();
-    // A singleton run with room in level 0 is exactly a single insert.
-    if (run.size() == 1 && !level_full(0)) {
-      put(run[0].key, run[0].value, /*tombstone=*/false);
-      return;
-    }
-    ++stats_.batch_merges;
-    cascade_run(run);
+    entry_batch_.assign(batch.data(), batch.data() + batch.size());
+    ingest_run(entry_batch_, entry_batch_scratch_, batch.size());
   }
 
   /// Blind bulk delete (batch contract in api/dictionary.hpp): equivalent
@@ -681,18 +611,10 @@ class Gcola {
   /// tombstone-pressure policy bounds how long they may linger (see
   /// ColaConfig::tombstone_threshold).
   void erase_batch(Span<K> keys) {
-    const std::size_t n = keys.size();
-    if (n == 0) return;
-    std::vector<TItem>& run = titem_batch_;
-    run.clear();
-    run.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      TItem s{};
-      s.key = keys[i];
-      s.flags = kFlagTombstone;
-      run.push_back(s);
-    }
-    apply_normalized(run, n);
+    titem_batch_.clear();
+    titem_batch_.reserve(keys.size());
+    for (const K& k : keys) titem_batch_.push_back(TItem{k, V{}, kFlagTombstone});
+    ingest_run(titem_batch_, titem_batch_scratch_, keys.size());
   }
 
   /// Mixed put/erase batch (batch contract in api/dictionary.hpp): the LAST
@@ -701,31 +623,12 @@ class Gcola {
   /// effect to replaying the ops with insert()/erase() one at a time, in one
   /// normalized run and one cascade.
   void apply_batch(Span<Op<K, V>> ops) {
-    const std::size_t n = ops.size();
-    if (n == 0) return;
-    std::vector<TItem>& run = titem_batch_;
-    run.clear();
-    run.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      TItem s{};
-      s.key = ops[i].key;
-      s.value = ops[i].value;
-      s.flags = ops[i].erase ? kFlagTombstone : 0u;
-      run.push_back(s);
+    titem_batch_.clear();
+    titem_batch_.reserve(ops.size());
+    for (const Op<K, V>& op : ops) {
+      titem_batch_.push_back(TItem{op.key, op.value, op.erase ? kFlagTombstone : 0u});
     }
-    apply_normalized(run, n);
-  }
-
-  // Deprecated pointer-form batch shims (one release; migration note in
-  // api/dictionary.hpp — CI's deprecated-api lint rejects in-repo callers).
-  void insert_batch(const Entry<K, V>* data, std::size_t n) {
-    insert_batch(Span<Entry<K, V>>(data, n));
-  }
-  void erase_batch(const K* keys, std::size_t n) {
-    erase_batch(Span<K>(keys, n));
-  }
-  void apply_batch(const Op<K, V>* ops, std::size_t n) {
-    apply_batch(Span<Op<K, V>>(ops, n));
+    ingest_run(titem_batch_, titem_batch_scratch_, ops.size());
   }
 
   /// Drain the staging arena into the levels (normally automatic when the
@@ -743,11 +646,7 @@ class Gcola {
       // directly as spans (oldest first) — no separate normalization pass.
       incoming_spans_.clear();
       for (std::size_t r = 0; r < stage_runs_.size(); ++r) {
-        const std::uint32_t b = stage_runs_[r];
-        const std::uint32_t e = r + 1 < stage_runs_.size()
-                                    ? stage_runs_[r + 1]
-                                    : static_cast<std::uint32_t>(stage_.size());
-        incoming_spans_.push_back(stage_.subview(b, e));
+        incoming_spans_.push_back(stage_.subview(stage_runs_[r], stage_run_end(r)));
       }
       cascade_run_tiered(stage_.size());
     } else {
@@ -829,15 +728,15 @@ class Gcola {
   /// consistent. Implementations MUST NOT throw (a throw here would
   /// unwind through the middle of a fold; record the failure and surface
   /// it from your own API instead) and must not call back into the Gcola.
-  /// `items` are the new segment's entries in key order (tombstones as
-  /// erase ops); `consumed` lists the seg_ids of previously-observed
-  /// segments this fold destroyed. items == nullptr with n == 0 reports a
-  /// fold whose output annihilated to nothing (consumed still applies).
+  /// `seg` is the installed immutable segment — keys ascending, tombstones
+  /// flagged, `seg->id` its stable identity — or nullptr for a fold whose
+  /// output annihilated to nothing (reported only when it consumed
+  /// something). `consumed` lists the ids of previously-reported segments
+  /// this fold destroyed.
   class FoldObserver {
    public:
     virtual ~FoldObserver() = default;
-    virtual void on_segment_spill(std::uint64_t seg_id, std::size_t level,
-                                  const Op<K, V>* items, std::size_t n,
+    virtual void on_segment_spill(std::size_t level, const snap::Segment<K, V>* seg,
                                   const std::uint64_t* consumed,
                                   std::size_t n_consumed) = 0;
   };
@@ -863,49 +762,18 @@ class Gcola {
   /// Fold EVERYTHING (staging arena + all levels) into one stripped
   /// segment placed no shallower than `min_target` — the checkpoint
   /// primitive: with an observer attached at spill_depth <= min_target the
-  /// resulting segment (or the empty-output report) reaches storage and
-  /// fully represents the dictionary. Returns true when a segment was
-  /// produced (false for an empty dictionary). Tiered mode only.
+  /// resulting segment (or the empty-output report, when the fold consumed
+  /// spilled segments) reaches storage and fully represents the
+  /// dictionary. Returns true when a segment was produced. An empty
+  /// dictionary folds nothing and reports nothing. Tiered mode only.
   bool compact_all(std::size_t min_target = 0) {
     drain_compaction();
     flush_stage();
     drain_compaction();  // the flush itself may have deferred a fold
     ++mutation_epoch_;
-    const std::size_t d = deepest_nonempty();
-    if (levels_.empty() || item_count() == 0) {
-      // Nothing to fold; still report consumed-nothing so an attached
-      // observer can reset its live set for an empty dictionary.
-      return false;
-    }
+    if (item_count() == 0) return false;
     ++stats_.merges;
-    fold_spans_.clear();
-    gather_spill_consumed(d + 1);
-    std::size_t total = 0;
-    for (std::size_t l = d + 1; l-- > 0;) {
-      const Level& lv = levels_[l];
-      if (lv.real_count == 0) continue;
-      for (std::size_t j = 0; j < lv.segs.size(); ++j) {  // oldest first
-        const Seg& seg = *lv.segs[j];
-        mm_.touch(seg.base_addr, seg.size() * sizeof(TItem));
-        fold_spans_.push_back(kern::RunView<K, V>{
-            seg.keys.data(), seg.vals.data(), seg.flags.data(), seg.size()});
-      }
-      total += lv.real_count;
-    }
-    collapse_fold_spans(total);
-    stats_.duplicates_dropped += total - tfold_buf_.size();
-    strip_tombstones(tfold_buf_);
-    for (std::size_t l = 0; l <= d; ++l) clear_level(levels_[l]);
-    bottom_relocated_ = false;
-    if (tfold_buf_.empty()) {
-      report_empty_fold(min_target);
-      return false;
-    }
-    std::size_t target = std::max(d, min_target);
-    while (real_cap(target) < tfold_buf_.size()) ++target;
-    ensure_level(target);
-    append_segment(target, tfold_buf_);
-    return true;
+    return fold_all(min_target);
   }
 
   // -- verification -----------------------------------------------------------
@@ -932,9 +800,7 @@ class Gcola {
       }
       for (std::size_t r = 0; r < stage_runs_.size(); ++r) {
         const std::uint32_t b = stage_runs_[r];
-        const std::uint32_t e = r + 1 < stage_runs_.size()
-                                    ? stage_runs_[r + 1]
-                                    : static_cast<std::uint32_t>(stage_.size());
+        const std::uint32_t e = stage_run_end(r);
         if (b >= e) throw std::logic_error("cola: empty staging run");
         if (stage_run_segs_[r] != nullptr &&
             (stage_run_segs_[r]->size() != e - b ||
@@ -1532,78 +1398,111 @@ class Gcola {
     stage_base_set_ = true;
   }
 
-  /// Shared tail of the mixed-op batch mutators: normalize `run` (sort +
-  /// newest-wins dedup; tombstone flags ride along untouched) and route it
-  /// the same way insert_batch routes its runs — staging-arena append,
-  /// tiered cascade, or classic cascade in Slot form. `n_raw` is the
-  /// pre-dedup op count (stats).
-  void apply_normalized(std::vector<TItem>& run, std::size_t n_raw) {
+  /// Begin offset one past staging run r (the next run's begin, or the
+  /// arena end for the newest run).
+  std::uint32_t stage_run_end(std::size_t r) const noexcept {
+    return r + 1 < stage_runs_.size() ? stage_runs_[r + 1]
+                                      : static_cast<std::uint32_t>(stage_.size());
+  }
+
+  /// The one ingest tail every batch mutator shares. Stable-sort `run` by
+  /// key in the caller's element form — 16-byte Entries for insert_batch,
+  /// TItems with tombstone flags for the mixed-op mutators — duplicates KEPT
+  /// in input order; the plane-form keep-last kernel collapses them after
+  /// widening, the identical newest-wins result with the dedup scan
+  /// vectorized. The run then lands in the staging arena or, unstaged,
+  /// cascades into the levels. `n_raw` is the caller's op count (stats).
+  template <class It>
+  void ingest_run(std::vector<It>& run, std::vector<It>& scratch, std::size_t n_raw) {
+    if (run.empty()) return;
     ++mutation_epoch_;
     poll_install();
-    // Stable sort keeps input order among equal keys (duplicates KEPT); the
-    // plane-form keep-last kernel then collapses them after widening — the
-    // identical newest-wins result, with the dedup scan vectorized.
-    sort_by_key(run, titem_batch_scratch_);
+    // Normalize while the batch is small and cache-hot (k entries, not the
+    // whole arena); the arena flush then merges presorted runs.
+    sort_by_key(run, scratch);
     if (cfg_.staging_capacity > 0) {
-      ensure_stage_base();
-      stage_.reserve(std::max(cfg_.staging_capacity, stage_.size() + run.size()));
-      const std::size_t b = stage_.size();
-      stage_runs_.push_back(static_cast<std::uint32_t>(b));
-      append_widened(run.data(), run.data() + run.size(), stage_);
-      stats_.duplicates_dropped += kern::dedup_newest_wins(stage_, b, isa_);
-      stage_run_min_.push_back(stage_.keys[b]);
-      stage_run_max_.push_back(stage_.keys.back());
-      stage_run_segs_.emplace_back();
-      mm_.touch_write(stage_base_ + b * sizeof(TItem),
-                      (stage_.size() - b) * sizeof(TItem));
-      stats_.stage_absorbed += n_raw;
-      // Small mixed-op runs must not grow the arena's run count linearly
-      // (find() probes every run): the binary-counter tail merge keeps it
-      // logarithmic, exactly as the single-op put() path does.
-      counter_merge_stage_tail();
-      if (stage_.size() >= cfg_.staging_capacity) flush_stage();
+      stage_append(run.data(), run.data() + run.size(), n_raw);
       return;
     }
-    ensure_level(0);
     titem_run_.clear();
     append_widened(run.data(), run.data() + run.size(), titem_run_);
     stats_.duplicates_dropped += kern::dedup_newest_wins(titem_run_, 0, isa_);
-    // A singleton run with room in level 0 is exactly a single op.
+    cascade_run(/*batch=*/true);
+  }
+
+  /// Append one key-sorted run (duplicates in input order) to the staging
+  /// arena as its newest run — the one staging write path; put() appends a
+  /// one-element run. Duplicates collapse in place, the run's fences are
+  /// recorded, the binary-counter tail merge keeps the arena's run count
+  /// logarithmic (find() probes every run), and a full arena flushes.
+  template <class It>
+  void stage_append(const It* b, const It* e, std::size_t n_raw) {
+    ensure_stage_base();
+    stage_.reserve(std::max(cfg_.staging_capacity,
+                            stage_.size() + static_cast<std::size_t>(e - b)));
+    const std::size_t at = stage_.size();
+    stage_runs_.push_back(static_cast<std::uint32_t>(at));
+    append_widened(b, e, stage_);
+    stats_.duplicates_dropped += kern::dedup_newest_wins(stage_, at, isa_);
+    stage_run_min_.push_back(stage_.keys[at]);
+    stage_run_max_.push_back(stage_.keys.back());
+    stage_run_segs_.emplace_back();
+    mm_.touch_write(stage_base_ + at * sizeof(TItem),
+                    (stage_.size() - at) * sizeof(TItem));
+    stats_.stage_absorbed += n_raw;
+    counter_merge_stage_tail();
+    if (stage_.size() >= cfg_.staging_capacity) flush_stage();
+  }
+
+  /// Carry titem_run_ (sorted, unique keys, newest overall) into the
+  /// levels: a singleton with room in level 0 lands there directly — the
+  /// paper's insert into the empty first array — and anything else is ONE
+  /// cascaded merge into the shallowest level with room. `batch` counts the
+  /// cascade as a batch merge (put() passes false).
+  void cascade_run(bool batch) {
+    ensure_level(0);
     if (titem_run_.size() == 1 && !level_full(0)) {
-      put(titem_run_.keys[0], titem_run_.vals[0],
-          (titem_run_.flags[0] & kFlagTombstone) != 0);
+      place_in_level0();
       return;
     }
+    if (batch) ++stats_.batch_merges;
     if (cfg_.tiered) {
-      ++stats_.batch_merges;
       incoming_spans_.assign(1, titem_run_.view());
       cascade_run_tiered(titem_run_.size());
-      return;
+    } else {
+      cls_acc_.swap(titem_run_);
+      cascade_run_planes();
     }
-    ++stats_.batch_merges;
-    cls_acc_.assign(titem_run_.view());
-    cascade_run_planes();
   }
 
-  /// Carry the normalized run `run` (sorted, unique keys, newest overall)
-  /// into the shallowest level with room — the target walk shared by
-  /// insert_batch and the staging-arena flush. Folds every level that is
-  /// full or too small into the cascade until one can absorb the run plus
-  /// everything displaced above it.
-  void cascade_run(std::vector<Slot>& run) {
-    if (run.empty()) return;
-    cls_acc_.clear();
-    cls_acc_.reserve(run.size());
-    for (const Slot& s : run) {
-      cls_acc_.push_back(s.key, s.value,
-                         static_cast<std::uint8_t>(s.flags & kFlagTombstone));
+  /// Level 0 is empty: the singleton in titem_run_ becomes its contents.
+  void place_in_level0() {
+    Level& l0 = levels_[0];
+    if (cfg_.tiered) {
+      SegRef seg = new_segment(std::vector<K>(titem_run_.keys),
+                               std::vector<V>(titem_run_.vals),
+                               std::vector<std::uint8_t>(titem_run_.flags));
+      mm_.touch_write(seg->base_addr, sizeof(TItem));
+      l0.tomb_count = seg->tombs;
+      l0.segs.assign(1, std::move(seg));
+      l0.seg_stale.assign(1, 0);
+      l0.stale_count = 0;
+    } else {
+      Slot s{};
+      s.key = titem_run_.keys[0];
+      s.value = titem_run_.vals[0];
+      s.flags = titem_run_.flags[0];
+      l0.occ_begin = static_cast<std::uint32_t>(l0.slots.size() - 1);
+      l0.slots[l0.occ_begin] = s;
+      touch_region(0, l0.occ_begin, 1, /*write=*/true);
     }
-    cascade_run_planes();
+    l0.real_count = 1;
+    l0.fills = 1;
   }
 
-  /// Plane-form cascade entry: the incoming run is already in cls_acc_
-  /// (sorted, unique keys, newest overall) — the staging flush and the
-  /// mixed-op batch path land here without a Slot widening pass.
+  /// Classic cascade entry: the incoming run is already in cls_acc_
+  /// (sorted, unique keys, newest overall, plane form) — the staging flush
+  /// and cascade_run land here without a Slot widening pass.
   void cascade_run_planes() {
     if (cls_acc_.empty()) return;
     const std::size_t t = select_cascade_target(cls_acc_.size());
@@ -1768,15 +1667,10 @@ class Gcola {
   }
 
   /// Bounded tombstone retention (checked after every tiered cascade): when
-  /// the deepest level crosses the threshold, fold its segments into one and
-  /// strip. No older copy of any key can exist below the deepest level, so
-  /// every tombstone — and every shadowed duplicate — dies here. The fold
-  /// is a FULL compaction (levels 0..d collapse into one deepest segment):
-  /// at small g a level holds a single segment, so the shadowed copies live
-  /// across LEVELS, and folding the deepest level alone would annihilate
-  /// nothing. Each fold clears the structure's whole tombstone and stale
-  /// mass, so the next one needs another threshold-fraction of fresh
-  /// arrivals: amortized O(1/threshold) moves per erase/shadowing write.
+  /// the deepest level crosses the threshold, run the full fold. Each fold
+  /// clears the structure's whole tombstone and stale mass, so the next one
+  /// needs another threshold-fraction of fresh arrivals: amortized
+  /// O(1/threshold) moves per erase/shadowing write.
   void maybe_fold_bottom_tombstones() {
     const std::size_t d = deepest_nonempty();
     if (levels_.empty() || levels_[d].real_count == 0) return;
@@ -1798,38 +1692,35 @@ class Gcola {
     // is still just a fold over immutable segments — defer it too, at
     // `forced` priority (jumps the pool queue, never rejected for depth).
     if (try_defer_forced_fold()) return;
-    // Gather spans oldest -> newest: deeper level = older, within a level
-    // the first segment is oldest (same order as the cascade fold).
-    fold_spans_.clear();
-    std::size_t total = 0;
-    for (std::size_t l = d + 1; l-- > 0;) {
-      const Level& lv = levels_[l];
-      if (lv.real_count == 0) continue;
-      for (std::size_t j = 0; j < lv.segs.size(); ++j) {  // oldest first
-        const Seg& seg = *lv.segs[j];
-        mm_.touch(seg.base_addr, seg.size() * sizeof(TItem));
-        fold_spans_.push_back(kern::RunView<K, V>{
-            seg.keys.data(), seg.vals.data(), seg.flags.data(), seg.size()});
-      }
-      total += lv.real_count;
-    }
+    fold_all(/*min_target=*/0);
+  }
+
+  /// The full fold behind the forced retention fold and compact_all:
+  /// levels 0..d (d = deepest) collapse into ONE stripped segment. No older
+  /// copy of any key can exist below the deepest level, so every tombstone
+  /// and every shadowed duplicate dies here — and at small g, where a level
+  /// holds a single segment, the shadowed copies live across LEVELS, which
+  /// is why the fold takes them all. Returns true when a segment was
+  /// produced.
+  bool fold_all(std::size_t min_target) {
+    const std::size_t d = deepest_nonempty();
+    const std::size_t total = gather_level_spans(d + 1);
     collapse_fold_spans(total);
     stats_.duplicates_dropped += total - tfold_buf_.size();
     strip_tombstones(tfold_buf_);
-    gather_spill_consumed(d + 1);
+    gather_spill_consumed(d + 1, spill_consumed_);
     for (std::size_t l = 0; l <= d; ++l) clear_level(levels_[l]);
+    // This fold IS a bottom compaction: the next deepest-level drain may
+    // take the trivial move again.
+    bottom_relocated_ = false;
     // Levels 0..d together hold up to g/(g-1) * real_cap(d) items, so a
     // fold that annihilates little can exceed the deepest level's own
     // capacity — place the output in the shallowest level that fits it
     // (usually d; one deeper in the adversarial no-duplicates case).
-    std::size_t target = d;
+    std::size_t target = std::max(d, min_target);
     while (real_cap(target) < tfold_buf_.size()) ++target;
-    ensure_level(target);
-    append_segment(target, tfold_buf_);
-    if (tfold_buf_.empty()) report_empty_fold(target);
-    // This fold IS a bottom compaction: the next deepest-level drain may
-    // take the trivial move again.
-    bottom_relocated_ = false;
+    install_fold_output(target, /*stale_est=*/0);
+    return !tfold_buf_.empty();
   }
 
   // -- background compaction --------------------------------------------------
@@ -1919,15 +1810,7 @@ class Gcola {
     pend_base_addr_ = next_base_;
     next_base_ += total * sizeof(TItem);
     // Consumed spill ids for the install-time observer callback.
-    pend_consumed_ids_.clear();
-    if (fold_observer_ != nullptr) {
-      for (std::size_t l = spill_depth_; l < consumed_hi && l < levels_.size();
-           ++l) {
-        for (const SegRef& s : levels_[l].segs) {
-          pend_consumed_ids_.push_back(s->id);
-        }
-      }
-    }
+    gather_spill_consumed(consumed_hi, pend_consumed_ids_);
     for (std::size_t l = 0; l < consumed_hi; ++l) clear_level(levels_[l]);
     // After the clear so a forced fold whose target sits INSIDE the
     // consumed range records install position 0 (the fold is the oldest
@@ -1968,86 +1851,33 @@ class Gcola {
   /// Land the finished fold's output (writer thread; job must be done).
   /// The output segment splices in at the recorded install point — BELOW
   /// every run that arrived after the enqueue snapshot, preserving recency
-  /// order — and the bookkeeping the synchronous fold does inline happens
-  /// here: stats mirror, spill observer (the durable tier's WAL barrier
-  /// thus runs on the writer thread before any reader can see the
-  /// segment), staleness credit, epoch bump. Dropping the job releases the
-  /// input refs: sources retire unless a snapshot still pins them.
+  /// order — through the same install_segment the inline folds use (the
+  /// spill observer, and with it the durable tier's WAL barrier, thus runs
+  /// on the writer thread before any reader can see the segment). Dropping
+  /// the job releases the input refs: sources retire unless a snapshot
+  /// still pins them.
   void install_pending() {
     std::shared_ptr<compact::FoldJob<K, V>> job = std::move(pend_job_);
-    const std::size_t target = pend_target_;
-    const std::size_t prior = pend_prior_segs_;
-    const std::uint64_t total_in = pend_total_in_;
-    const std::uint64_t seg_id = pend_seg_id_;
-    const std::uint64_t base_addr = pend_base_addr_;
-    const bool forced = pend_forced_;
     pending_active_ = false;
     ++mutation_epoch_;
     cstats_->bg_fold_ns.fetch_add(job->fold_ns, std::memory_order_relaxed);
     kern::RunBuf<K, V>& out = job->out;
     // Stats mirror of the synchronous fold path.
     stats_.duplicates_dropped +=
-        total_in - (out.size() + job->tombstones_dropped);
+        pend_total_in_ - (out.size() + job->tombstones_dropped);
     stats_.tombstones_dropped += job->tombstones_dropped;
     last_collapse_final_dups_ = job->final_dups;
-    if (out.empty()) {
-      // Annihilated to nothing — the consumed spilled sources are still
-      // gone; report so the observer retires them (report_empty_fold's
-      // contract, with the id reserved at enqueue).
-      if (fold_observer_ != nullptr && !pend_consumed_ids_.empty()) {
-        fold_observer_->on_segment_spill(seg_id, target, nullptr, 0,
-                                         pend_consumed_ids_.data(),
-                                         pend_consumed_ids_.size());
-      }
-      pend_consumed_ids_.clear();
-      return;
-    }
-    const std::size_t out_n = out.size();
+    // nullptr when the fold annihilated to nothing (id reserved at enqueue).
     SegRef seg = snap::make_segment_prefiltered(
         std::move(out.keys), std::move(out.vals), std::move(out.flags),
-        std::move(job->filter_words), seg_id, base_addr, mutation_epoch_);
-    const Seg& sref = *seg;
-    Level& lv = levels_[target];
-    assert(lv.real_count + out_n <= real_cap(target));
+        std::move(job->filter_words), pend_seg_id_, pend_base_addr_,
+        mutation_epoch_);
+    const std::size_t n_segs = levels_[pend_target_].segs.size();
     const std::size_t pos = cfg_.unsafe_break_install_order
-                                ? lv.segs.size()
-                                : std::min(prior, lv.segs.size());
-    lv.tomb_count += sref.tombs;
-    lv.segs.insert(lv.segs.begin() + static_cast<std::ptrdiff_t>(pos),
-                   std::move(seg));
-    lv.seg_stale.insert(lv.seg_stale.begin() + static_cast<std::ptrdiff_t>(pos),
-                        0);
-    lv.real_count += out_n;
-    lv.fills = static_cast<std::uint32_t>(
-        std::min<std::size_t>(lv.segs.size(), cfg_.growth - 1));
-    stats_.entries_merged += out_n;
-    if (fold_observer_ != nullptr && target >= spill_depth_) {
-      spill_items_.clear();
-      spill_items_.reserve(out_n);
-      for (std::size_t i = 0; i < out_n; ++i) {
-        spill_items_.push_back((sref.flags[i] & kFlagTombstone) != 0
-                                   ? Op<K, V>::del(sref.keys[i])
-                                   : Op<K, V>::put(sref.keys[i], sref.vals[i]));
-      }
-      fold_observer_->on_segment_spill(seg_id, target, spill_items_.data(),
-                                       spill_items_.size(),
-                                       pend_consumed_ids_.data(),
-                                       pend_consumed_ids_.size());
-    }
-    pend_consumed_ids_.clear();
-    // Staleness credit — the same estimator as the inline cascade; the
-    // tail exclusion covers the installed segment AND every newer arrival.
-    if (!forced && job->final_dups > 0) {
-      const std::uint64_t est = job->final_dups;
-      const K& lo = sref.min_key;
-      const K& hi = sref.max_key;
-      add_staleness(target, lo, hi, est,
-                    /*exclude_tail=*/lv.segs.size() - pos);
-      const std::size_t d = deepest_nonempty();
-      if (d > target && out_n * 4 >= levels_[d].real_count) {
-        add_staleness(d, lo, hi, est, /*exclude_tail=*/0);
-      }
-    }
+                                ? n_segs
+                                : std::min(pend_prior_segs_, n_segs);
+    install_segment(pend_target_, pos, std::move(seg), pend_consumed_ids_,
+                    pend_forced_ ? 0 : job->final_dups);
   }
 
   /// Push level l's segments newest -> oldest (the snapshot/view priority
@@ -2071,89 +1901,38 @@ class Gcola {
     for (std::size_t j = lv.segs.size(); j-- > 0;) out.push_back(lv.segs[j]);
   }
 
+  /// Single insert or erase: a one-element run through the same arena
+  /// append or cascade as a batch (no sort, no batch-merge count).
   void put(const K& key, const V& value, bool tombstone) {
     ++mutation_epoch_;
     poll_install();
+    const TItem item{key, value, tombstone ? kFlagTombstone : 0u};
     if (cfg_.staging_capacity > 0) {
-      ensure_stage_base();
-      if (stage_.keys.capacity() < cfg_.staging_capacity) {
-        stage_.reserve(cfg_.staging_capacity);
-      }
-      stage_runs_.push_back(static_cast<std::uint32_t>(stage_.size()));
-      stage_run_min_.push_back(key);
-      stage_run_max_.push_back(key);
-      stage_run_segs_.emplace_back();
-      stage_.push_back(key, value,
-                       static_cast<std::uint8_t>(tombstone ? kFlagTombstone : 0u));
-      mm_.touch_write(stage_base_ + (stage_.size() - 1) * sizeof(TItem), sizeof(TItem));
-      counter_merge_stage_tail();
-      ++stats_.stage_absorbed;
-      if (stage_.size() >= cfg_.staging_capacity) flush_stage();
+      stage_append(&item, &item + 1, 1);
       return;
     }
-    ensure_level(0);
-    if (!level_full(0)) {
-      Level& l0 = levels_[0];
-      if (cfg_.tiered) {
-        SegRef seg = new_segment(
-            std::vector<K>(1, key), std::vector<V>(1, value),
-            std::vector<std::uint8_t>(
-                1, static_cast<std::uint8_t>(tombstone ? kFlagTombstone : 0u)));
-        mm_.touch_write(seg->base_addr, sizeof(TItem));
-        l0.segs.assign(1, std::move(seg));
-        l0.seg_stale.assign(1, 0);
-        l0.tomb_count = tombstone ? 1 : 0;
-        l0.stale_count = 0;
-      } else {
-        Slot s{};
-        s.key = key;
-        s.value = value;
-        s.flags = tombstone ? kFlagTombstone : 0u;
-        l0.occ_begin = static_cast<std::uint32_t>(l0.slots.size() - 1);
-        l0.slots[l0.occ_begin] = s;
-        touch_region(0, l0.occ_begin, 1, /*write=*/true);
-      }
-      l0.real_count = 1;
-      l0.fills = 1;
-      return;
-    }
-
-    // Tiered: the target must have segment room AND slot space; reuse the
-    // capacity-aware walk with a singleton run.
-    if (cfg_.tiered) {
-      titem_run_.clear();
-      titem_run_.push_back(
-          key, value, static_cast<std::uint8_t>(tombstone ? kFlagTombstone : 0u));
-      incoming_spans_.assign(1, titem_run_.view());
-      cascade_run_tiered(1);
-      return;
-    }
-    // Find the first non-full target level t; merge levels 0..t-1 + the new
-    // element into it.
-    std::size_t t = 1;
-    while (level_full(t)) ++t;
-    ensure_level(t);
-    merge_into(t, key, value, tombstone);
+    titem_run_.clear();
+    append_widened(&item, &item + 1, titem_run_);
+    cascade_run(/*batch=*/false);
   }
 
-  /// Extract level l's real entries (lookahead slots skipped) onto the
-  /// plane scratch cls_lvl_, so the cascade's per-level merges run on the
-  /// SIMD plane kernels instead of a scalar walk over 32-byte AoS slots.
-  /// Lookahead flags are shed here — the cascade re-derives the chains via
-  /// rebuild_lookahead. DAM accounting is the same single read of the
-  /// level's occupied region the in-place merge charged.
-  void extract_level_planes(std::size_t l) {
+  /// Extract classic level l's real entries (lookahead slots skipped) onto
+  /// `out` in plane form — for the cascade's per-level merges, which run on
+  /// the SIMD plane kernels instead of a scalar walk over 32-byte AoS slots,
+  /// and for the copy-on-snapshot build. Lookahead flags are shed here (the
+  /// cascade re-derives the chains via rebuild_lookahead). DAM accounting is
+  /// one streaming read of the level's occupied region.
+  void extract_level_planes(std::size_t l, kern::RunBuf<K, V>& out) const {
     const Level& lv = levels_[l];
     touch_region(l, lv.occ_begin,
                  static_cast<std::uint64_t>(lv.slots.size()) - lv.occ_begin,
                  /*write=*/false);
-    cls_lvl_.clear();
-    cls_lvl_.reserve(lv.real_count);
+    out.clear();
+    out.reserve(lv.real_count);
     for (std::size_t i = lv.occ_begin; i < lv.slots.size(); ++i) {
       const Slot& s = lv.slots[i];
       if (s.is_lookahead()) continue;
-      cls_lvl_.push_back(s.key, s.value,
-                         static_cast<std::uint8_t>(s.flags & kFlagTombstone));
+      out.push_back(s.key, s.value, static_cast<std::uint8_t>(s.flags & kFlagTombstone));
     }
   }
 
@@ -2170,41 +1949,17 @@ class Gcola {
     return pending_active_ ? pend_target_ : 0;
   }
 
-  void merge_into(std::size_t t, const K& key, const V& value, bool tombstone) {
-    cls_acc_.clear();
-    cls_acc_.push_back(
-        key, value, static_cast<std::uint8_t>(tombstone ? kFlagTombstone : 0u));
-    cascade_into_planes(t);
-  }
-
-  /// Tiered cascade: gather the segments of levels 0..t-1 plus `acc` as a
-  /// run list ordered oldest -> newest (deeper level = older; within a
-  /// level the first segment is oldest; `acc` is newest of all), collapse
-  /// it with balanced pairwise rounds (log2(#runs) passes, newest-wins),
-  /// clear the sources, and APPEND the result as a new segment of level t —
-  /// the level's existing segments are untouched, which is the whole point:
-  /// an element is written once per level it passes, not once per merge the
-  /// level receives.
+  /// Tiered cascade: gather the segments of levels 0..t-1 plus the incoming
+  /// spans as a run list ordered oldest -> newest (the incoming spans,
+  /// already ordered oldest -> newest by the caller, are newest of all),
+  /// collapse it newest-wins, clear the sources, and APPEND the result as a
+  /// new segment of level t — the level's existing segments are untouched,
+  /// which is the whole point: an element is written once per level it
+  /// passes, not once per merge the level receives.
   void cascade_into_tiered(std::size_t t) {
-    // Collect source spans oldest -> newest: deeper level = older, within a
-    // level the first segment is oldest, and the incoming spans (already
-    // ordered oldest -> newest by the caller) are newest of all.
-    std::vector<kern::RunView<K, V>>& spans = fold_spans_;
-    spans.clear();
-    std::size_t total = 0;
-    for (std::size_t l = t; l-- > 0;) {
-      const Level& lv = levels_[l];
-      if (lv.real_count == 0) continue;
-      for (std::size_t j = 0; j < lv.segs.size(); ++j) {  // oldest first
-        const Seg& seg = *lv.segs[j];
-        mm_.touch(seg.base_addr, seg.size() * sizeof(TItem));
-        spans.push_back(kern::RunView<K, V>{
-            seg.keys.data(), seg.vals.data(), seg.flags.data(), seg.size()});
-      }
-      total += lv.real_count;
-    }
+    std::size_t total = gather_level_spans(t);
     for (const kern::RunView<K, V>& s : incoming_spans_) {
-      spans.push_back(s);
+      fold_spans_.push_back(s);
       total += s.n;
     }
     // Never drop while a background fold targets this level: its output is
@@ -2218,44 +1973,34 @@ class Gcola {
     // take the trivial move again.
     if (drop_tombstones) bottom_relocated_ = false;
     collapse_fold_spans(total);
-    const std::size_t merged = tfold_buf_.size();
-    gather_spill_consumed(t);
+    gather_spill_consumed(t, spill_consumed_);
     // Sources are cleared only after the fold — the spans read from them.
     for (std::size_t l = 0; l < t; ++l) clear_level(levels_[l]);
-    stats_.duplicates_dropped += total - merged;
+    stats_.duplicates_dropped += total - tfold_buf_.size();
     // A tombstone can be discarded only when no older copy of its key can
     // exist anywhere — deepest level AND no older segments in the target.
     if (drop_tombstones) strip_tombstones(tfold_buf_);
-    append_segment(t, tfold_buf_);
-    if (tfold_buf_.empty()) report_empty_fold(t);
-    // Staleness estimate, at zero extra I/O: the fold's final merge round
-    // just counted its DISTINCT duplicated keys (last_collapse_final_dups_)
-    // — a measured sample of how many distinct keys this feed rewrites. A
-    // key the feed rewrites shadows its older copies in the target's older
-    // segments and in deeper levels at the same rate, so credit that count
-    // there. Distinct (not total) duplicates is the load-bearing choice: a
-    // hot key repeated a thousand times within a fold shadows at most one
-    // deep copy, and crediting total duplicate mass would force spurious
-    // compactions on hot-set feeds. Pure-growth feeds measure ~0.
-    if (!tfold_buf_.empty() && last_collapse_final_dups_ > 0) {
-      const std::uint64_t est = last_collapse_final_dups_;
-      const K& lo = tfold_buf_.keys.front();
-      const K& hi = tfold_buf_.keys.back();
-      add_staleness(t, lo, hi, est, /*exclude_tail=*/1);
-      // The arrival also shadows deeper data. Credit the deepest level —
-      // where retention is bounded only by the forced folds — so small-g
-      // geometries (one segment per level) see churn pressure too. Only
-      // folds COMPARABLE IN SIZE to the deepest level credit it: a shallow
-      // fold re-observes the same hot keys on every drain, and crediting
-      // each observation would recount one shadowed deep copy many times
-      // over (spurious compactions on hot-set feeds); a fold carrying a
-      // quarter of the deepest level's mass has accumulated the distinct
-      // keys of a whole generation — the honest sample.
-      const std::size_t d = deepest_nonempty();
-      if (d > t && tfold_buf_.size() * 4 >= levels_[d].real_count) {
-        add_staleness(d, lo, hi, est, /*exclude_tail=*/0);
+    install_fold_output(t, last_collapse_final_dups_);
+  }
+
+  /// Gather the segments of levels [0, hi) into fold_spans_, ordered
+  /// oldest -> newest (deeper level = older; within a level the first
+  /// segment is oldest), charging one streaming read of each. Returns the
+  /// element total.
+  std::size_t gather_level_spans(std::size_t hi) {
+    fold_spans_.clear();
+    std::size_t total = 0;
+    for (std::size_t l = hi; l-- > 0;) {
+      const Level& lv = levels_[l];
+      if (lv.real_count == 0) continue;
+      for (const SegRef& seg : lv.segs) {
+        mm_.touch(seg->base_addr, seg->size() * sizeof(TItem));
+        fold_spans_.push_back(kern::RunView<K, V>{
+            seg->keys.data(), seg->vals.data(), seg->flags.data(), seg->size()});
       }
+      total += lv.real_count;
     }
+    return total;
   }
 
   /// Collapse fold_spans_ (sorted runs ordered oldest -> newest, `total`
@@ -2407,64 +2152,86 @@ class Gcola {
     last_collapse_final_dups_ = distinct_dups;
   }
 
-  /// Append `content` as the new (last) segment of level l. Tiered levels
-  /// are left-justified and grow on demand, so this is one amortized
-  /// sequential write with no rewrite of the level's existing segments.
-  /// Landing at or past the spill depth reports the segment (and the
-  /// consumed ids gathered by the fold) to the attached observer.
-  void append_segment(std::size_t l, const kern::RunBuf<K, V>& content) {
-    if (content.empty()) return;
-    Level& lv = levels_[l];
-    assert(lv.real_count + content.size() <= real_cap(l));
-    SegRef seg = new_segment(std::vector<K>(content.keys),
-                             std::vector<V>(content.vals),
-                             std::vector<std::uint8_t>(content.flags));
-    const std::uint64_t seg_id = seg->id;
-    mm_.touch_write(seg->base_addr, content.size() * sizeof(TItem));
-    lv.tomb_count += seg->tombs;
-    lv.segs.push_back(std::move(seg));
-    lv.seg_stale.push_back(0);
-    lv.real_count += content.size();
-    lv.fills = static_cast<std::uint32_t>(
-        std::min<std::size_t>(lv.segs.size(), cfg_.growth - 1));
-    stats_.entries_merged += content.size();
-    if (fold_observer_ != nullptr && l >= spill_depth_) {
-      spill_items_.clear();
-      spill_items_.reserve(content.size());
-      for (std::size_t i = 0; i < content.size(); ++i) {
-        spill_items_.push_back(
-            (content.flags[i] & kFlagTombstone) != 0
-                ? Op<K, V>::del(content.keys[i])
-                : Op<K, V>::put(content.keys[i], content.vals[i]));
-      }
-      fold_observer_->on_segment_spill(seg_id, l, spill_items_.data(),
-                                       spill_items_.size(),
-                                       spill_consumed_.data(),
-                                       spill_consumed_.size());
+  /// Mint an inline fold's output (tfold_buf_) as level l's newest
+  /// segment — one sequential write, no rewrite of the level's existing
+  /// segments — and install it; an empty output installs nothing but is
+  /// still reported.
+  void install_fold_output(std::size_t l, std::uint64_t stale_est) {
+    SegRef seg;
+    std::size_t pos = 0;
+    if (!tfold_buf_.empty()) {
+      ensure_level(l);
+      pos = levels_[l].segs.size();
+      seg = new_segment(std::vector<K>(tfold_buf_.keys), std::vector<V>(tfold_buf_.vals),
+                        std::vector<std::uint8_t>(tfold_buf_.flags));
+      mm_.touch_write(seg->base_addr, seg->size() * sizeof(TItem));
     }
-    spill_consumed_.clear();
+    install_segment(l, pos, std::move(seg), spill_consumed_, stale_est);
   }
 
-  /// Collect the seg_ids of every segment in levels [spill_depth_, n) —
-  /// the previously-observed segments an imminent fold of levels 0..n-1
-  /// will destroy — into spill_consumed_ for the observer callback.
-  void gather_spill_consumed(std::size_t n) {
-    spill_consumed_.clear();
+  /// The one install path for a fold's output, inline or background: splice
+  /// `seg` into level l at index `pos` (segments below pos predate the
+  /// fold), report it — nullptr for a fold that annihilated to nothing — to
+  /// the spill observer with the `consumed` ids (cleared here), and credit
+  /// the fold's measured duplicate count `stale_est` as staleness.
+  void install_segment(std::size_t l, std::size_t pos, SegRef seg,
+                       std::vector<std::uint64_t>& consumed, std::uint64_t stale_est) {
+    const Seg* s = seg.get();
+    if (s != nullptr) {
+      Level& lv = levels_[l];
+      assert(lv.real_count + s->size() <= real_cap(l));
+      lv.tomb_count += s->tombs;
+      lv.segs.insert(lv.segs.begin() + static_cast<std::ptrdiff_t>(pos), std::move(seg));
+      lv.seg_stale.insert(lv.seg_stale.begin() + static_cast<std::ptrdiff_t>(pos), 0);
+      lv.real_count += s->size();
+      lv.fills = static_cast<std::uint32_t>(
+          std::min<std::size_t>(lv.segs.size(), cfg_.growth - 1));
+      stats_.entries_merged += s->size();
+    }
+    // Consumed ids come from levels in [spill_depth_, l], so a fold that
+    // consumed anything always passes the depth check.
+    if (fold_observer_ != nullptr && l >= spill_depth_ &&
+        (s != nullptr || !consumed.empty())) {
+      fold_observer_->on_segment_spill(l, s, consumed.data(), consumed.size());
+    }
+    consumed.clear();
+    if (s == nullptr || stale_est == 0) return;
+    // Staleness estimate, at zero extra I/O: the fold's final merge round
+    // counted its DISTINCT duplicated keys — a measured sample of how many
+    // distinct keys this feed rewrites. A key the feed rewrites shadows its
+    // older copies in the target's older segments and in deeper levels at
+    // the same rate, so credit that count there. Distinct (not total)
+    // duplicates is the load-bearing choice: a hot key repeated a thousand
+    // times within a fold shadows at most one deep copy, and crediting total
+    // duplicate mass would force spurious compactions on hot-set feeds.
+    // Pure-growth feeds measure ~0. The tail exclusion covers the installed
+    // segment and every newer arrival above it.
+    add_staleness(l, s->min_key, s->max_key, stale_est,
+                  /*exclude_tail=*/levels_[l].segs.size() - pos);
+    // The arrival also shadows deeper data. Credit the deepest level —
+    // where retention is bounded only by the forced folds — so small-g
+    // geometries (one segment per level) see churn pressure too. Only folds
+    // COMPARABLE IN SIZE to the deepest level credit it: a shallow fold
+    // re-observes the same hot keys on every drain, and crediting each
+    // observation would recount one shadowed deep copy many times over
+    // (spurious compactions on hot-set feeds); a fold carrying a quarter of
+    // the deepest level's mass has accumulated the distinct keys of a whole
+    // generation — the honest sample.
+    const std::size_t d = deepest_nonempty();
+    if (d > l && s->size() * 4 >= levels_[d].real_count) {
+      add_staleness(d, s->min_key, s->max_key, stale_est, /*exclude_tail=*/0);
+    }
+  }
+
+  /// Collect into `out` the seg_ids of every segment in levels
+  /// [spill_depth_, n) — the previously-reported segments an imminent fold
+  /// of levels 0..n-1 will destroy.
+  void gather_spill_consumed(std::size_t n, std::vector<std::uint64_t>& out) {
+    out.clear();
     if (fold_observer_ == nullptr) return;
     for (std::size_t l = spill_depth_; l < n && l < levels_.size(); ++l) {
-      for (const SegRef& s : levels_[l].segs) spill_consumed_.push_back(s->id);
+      for (const SegRef& s : levels_[l].segs) out.push_back(s->id);
     }
-  }
-
-  /// A fold whose output annihilated to nothing still destroyed its spilled
-  /// sources — report that (items == nullptr) so the observer retires them.
-  void report_empty_fold(std::size_t level) {
-    if (fold_observer_ != nullptr && !spill_consumed_.empty()) {
-      fold_observer_->on_segment_spill(next_seg_id_++, level, nullptr, 0,
-                                       spill_consumed_.data(),
-                                       spill_consumed_.size());
-    }
-    spill_consumed_.clear();
   }
 
   /// Drop the level's segment references. Segments pinned by a live
@@ -2493,7 +2260,7 @@ class Gcola {
     // (the paper's merge pattern).
     for (std::size_t l = 0; l < t; ++l) {
       if (levels_[l].real_count == 0) continue;
-      extract_level_planes(l);
+      extract_level_planes(l, cls_lvl_);
       stats_.duplicates_dropped +=
           kern::merge_into(cls_lvl_.view(), cls_acc_.view(), cls_tmp_, isa_);
       cls_acc_.swap(cls_tmp_);
@@ -2538,21 +2305,7 @@ class Gcola {
   }
 
   /// Drop tombstones from `run` in place (used when merging into the deepest
-  /// data so no older copy can resurface). Works on Slot and TItem runs.
-  template <class T>
-  void strip_tombstones(std::vector<T>& run) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < run.size(); ++r) {
-      if (run[r].is_tombstone()) {
-        ++stats_.tombstones_dropped;
-        continue;
-      }
-      run[w++] = run[r];
-    }
-    run.resize(w);
-  }
-
-  /// Plane-form overload for the tiered fold buffers.
+  /// data so no older copy can resurface).
   void strip_tombstones(kern::RunBuf<K, V>& run) {
     std::size_t w = 0;
     for (std::size_t r = 0; r < run.size(); ++r) {
@@ -2760,7 +2513,7 @@ class Gcola {
   mutable std::vector<snap::SegmentRef<K, V>> stage_run_segs_;
   // Tiered cascade scratch: incoming run spans (prepared by callers of
   // cascade_run_tiered), gathered source spans, run boundaries, fold
-  // buffers, and the singleton/unstaged run.
+  // buffers, and the normalized unstaged run (both geometries).
   std::vector<kern::RunView<K, V>> incoming_spans_, fold_spans_;
   std::vector<std::uint32_t> fold_runs_, fold_runs_scratch_;
   kern::RunBuf<K, V> tfold_buf_, tfold_tmp_, titem_run_;
@@ -2772,8 +2525,8 @@ class Gcola {
   std::vector<K> wkey_, loser_key_;
   std::vector<std::uint32_t> widx_, loser_idx_;
   std::vector<std::uint8_t> walive_, loser_alive_;
-  // Staged-batch normalization scratch (Entry-sized: the narrowest form).
-  std::vector<Entry<K, V>> stage_entry_scratch_, stage_entry_sort_scratch_;
+  // insert_batch normalization scratch (Entry-sized: the narrowest form).
+  std::vector<Entry<K, V>> entry_batch_, entry_batch_scratch_;
   // Mixed-op batch normalization scratch (TItem-sized: tombstone flags ride
   // through the sort), reused across erase_batch/apply_batch calls.
   std::vector<TItem> titem_batch_, titem_batch_scratch_;
@@ -2784,12 +2537,11 @@ class Gcola {
   bool bottom_relocated_ = false;
   // Durable-tier spill hooks: segment identity counter, the attached
   // observer (nullptr = memory-only), the depth at which folds report, and
-  // scratch for the consumed-id list and the Op-form segment contents.
+  // the inline fold's consumed-id list.
   std::uint64_t next_seg_id_ = 1;
   FoldObserver* fold_observer_ = nullptr;
   std::size_t spill_depth_ = 0;
   std::vector<std::uint64_t> spill_consumed_;
-  std::vector<Op<K, V>> spill_items_;
   // Snapshot cache: snapshot() is a refcount bump while the dictionary is
   // unmutated (snap_epoch_ == mutation_epoch_); the first acquisition after
   // a mutation rebuilds. The stage-view vectors are the frozen-L0 scratch
@@ -2803,10 +2555,10 @@ class Gcola {
   // scan paths reuse one warm merge scratch across calls (mutable: scans
   // are const and the cursor is pure scratch; scans are not reentrant).
   mutable snap::SnapshotCursor<K, V> scan_cur_;
-  // Merge scratch, reused across inserts so the steady-state insert and
-  // batch paths perform zero heap allocations (capacities grow to the
-  // high-water mark of the deepest cascade seen, then stay).
-  std::vector<Slot> scratch_a_, scratch_content_, scratch_batch_;
+  // Classic level-rewrite scratch, reused so the steady-state insert and
+  // batch paths perform zero heap allocations (capacity grows to the
+  // high-water mark of the deepest cascade seen, then stays).
+  std::vector<Slot> scratch_content_;
   // Classic-cascade plane scratch: the widened incoming run (cls_acc_),
   // the current level's extracted reals (cls_lvl_), and the merge target
   // (cls_tmp_) — the per-level folds run on the SIMD plane kernels, only

@@ -143,18 +143,6 @@ class DurableDictionary {
 
   void apply_batch(Span<Op<>> ops) { st_->apply_ops(ops.data(), ops.size()); }
 
-  // Deprecated pointer-form batch shims (one release; migration note in
-  // api/dictionary.hpp — CI's deprecated-api lint rejects in-repo callers).
-  void insert_batch(const Entry<>* data, std::size_t n) {
-    insert_batch(Span<Entry<>>(data, n));
-  }
-  void erase_batch(const Key* keys, std::size_t n) {
-    erase_batch(Span<Key>(keys, n));
-  }
-  void apply_batch(const Op<>* ops, std::size_t n) {
-    apply_batch(Span<Op<>>(ops, n));
-  }
-
   /// Drain the inner staging arena (memory-only: the arena's content is
   /// already WAL-logged, so this changes layout, not durability).
   void flush_stage() {
@@ -257,8 +245,7 @@ class DurableDictionary {
     bool failed = false;
     std::string error;
 
-    void on_segment_spill(std::uint64_t seg_id, std::size_t level,
-                          const Op<Key, Value>* items, std::size_t n,
+    void on_segment_spill(std::size_t level, const snap::Segment<Key, Value>* seg,
                           const std::uint64_t* consumed,
                           std::size_t n_consumed) override {
       try {
@@ -268,7 +255,7 @@ class DurableDictionary {
         // phantom future data that recovery could not place on the seqno
         // axis. (Replay converges by last-op-wins only when segment
         // content is a subset of covered-prefix + durable WAL tail.)
-        if (n > 0 && st->wal) st->wal->sync();
+        if (seg != nullptr && st->wal) st->wal->sync();
         std::vector<SegmentMeta> live;
         if (!full_state) {
           live.reserve(st->live.size() + 1);
@@ -278,17 +265,17 @@ class DurableDictionary {
             if (gone.count(s.seg_id) == 0) live.push_back(s);
           }
         }
-        if (n > 0) {
-          const std::string name = seg_detail::segment_name(seg_id);
+        if (seg != nullptr) {
+          const std::string name = seg_detail::segment_name(seg->id);
           SegmentWriter w(*st->env, name, st->cfg.segment_block_bytes);
-          for (std::size_t i = 0; i < n; ++i) {
-            w.add({items[i].key, items[i].value,
-                   items[i].erase ? kEntryTombstone : std::uint8_t{0}});
+          for (std::size_t i = 0; i < seg->size(); ++i) {
+            w.add({seg->keys[i], seg->vals[i],
+                   seg->is_tombstone(i) ? kEntryTombstone : std::uint8_t{0}});
           }
           w.finish();
           st->env->sync_dir();
-          live.push_back({name, seg_id, static_cast<std::uint32_t>(level),
-                          static_cast<std::uint64_t>(n)});
+          live.push_back({name, seg->id, static_cast<std::uint32_t>(level),
+                          static_cast<std::uint64_t>(seg->size())});
         }
         Manifest m;
         m.covered_seqno = st->covered_seqno;
@@ -300,9 +287,10 @@ class DurableDictionary {
         m.next_file_no = st->wal ? st->wal->file_no() + 1 : st->next_wal_no;
         m.segments = live;
         install_manifest(*st->env, m);
-        st->stats.segments_retired += st->live.size() + (n > 0 ? 1 : 0) - live.size();
+        st->stats.segments_retired +=
+            st->live.size() + (seg != nullptr ? 1 : 0) - live.size();
         st->live = std::move(live);
-        if (n > 0) ++st->stats.segments_spilled;
+        if (seg != nullptr) ++st->stats.segments_spilled;
       } catch (const std::exception& e) {
         failed = true;
         error = e.what();

@@ -80,6 +80,18 @@ TEST(Cola, LevelSizingForGrowthFactors) {
   }
 }
 
+// Classic levels preallocate their slot arrays, so space depends on the
+// level count alone: 6 and 7 keys (binary 110 and 111) both occupy levels
+// 0..2 and must report the same bytes.
+TEST(Cola, ClassicBytesCountPreallocatedSlotsOnly) {
+  Gcola<> six(ColaConfig{2, 0.1});
+  Gcola<> seven(ColaConfig{2, 0.1});
+  for (Key k = 0; k < 6; ++k) six.insert(k, k);
+  for (Key k = 0; k < 7; ++k) seven.insert(k, k);
+  ASSERT_EQ(six.level_count(), seven.level_count());
+  EXPECT_EQ(six.bytes(), seven.bytes());
+}
+
 struct ColaParam {
   unsigned growth;
   double density;

@@ -28,6 +28,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/dictionary.hpp"
@@ -389,6 +390,98 @@ TEST(Compaction, EscapeHatchMatchesEnvironment) {
     EXPECT_GT(d.compaction_stats().folds_deferred, 0u);
   }
   expect_matches(d, model, "escape-hatch contents");
+}
+
+/// Records the FoldObserver contract as a spill consumer sees it: the
+/// contents of every reported, not-yet-consumed segment by id, plus any
+/// report that breaks the contract.
+struct RecordingObserver final : cola::Gcola<>::FoldObserver {
+  using Items = std::vector<std::tuple<Key, Value, std::uint8_t>>;
+  std::map<std::uint64_t, Items> live;
+  std::size_t reports = 0;
+  std::size_t empty_reports = 0;
+  std::vector<std::string> violations;
+
+  void on_segment_spill(std::size_t, const snap::Segment<>* seg,
+                        const std::uint64_t* consumed, std::size_t n) override {
+    ++reports;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (live.erase(consumed[i]) != 1) {
+        violations.push_back("consumed id " + std::to_string(consumed[i]) +
+                             " was never reported or is already gone");
+      }
+    }
+    if (seg == nullptr) {
+      ++empty_reports;
+      if (n == 0) violations.push_back("empty fold reported nothing consumed");
+      return;
+    }
+    if (seg->id == 0 || live.count(seg->id) != 0) {
+      violations.push_back("segment id " + std::to_string(seg->id) + " reused");
+    }
+    Items& items = live[seg->id];
+    for (std::size_t i = 0; i < seg->size(); ++i) {
+      items.emplace_back(seg->keys[i], seg->vals[i], seg->flags[i]);
+    }
+  }
+};
+
+/// With the observer at spill depth 0 and a staging arena (so nothing is
+/// placed in level 0 unreported), the structure's id-carrying segments are
+/// exactly the observer's live set, content for content. Staging views and
+/// a pending fold's materialized incoming runs carry id 0. A fold that
+/// destroyed a segment without listing it as consumed shows up here.
+void expect_reports_match_installed(const cola::Gcola<>& d,
+                                    const RecordingObserver& obs, const char* what) {
+  ASSERT_TRUE(obs.violations.empty()) << what << ": " << obs.violations.front();
+  std::map<std::uint64_t, RecordingObserver::Items> installed;
+  for (const snap::SegmentRef<>& seg : d.snapshot().data()->segs) {
+    if (seg->id == 0) continue;
+    RecordingObserver::Items& items = installed[seg->id];
+    for (std::size_t i = 0; i < seg->size(); ++i) {
+      items.emplace_back(seg->keys[i], seg->vals[i], seg->flags[i]);
+    }
+  }
+  EXPECT_EQ(installed, obs.live) << what;
+}
+
+TEST(Compaction, FoldObserverContract) {
+  for (const unsigned c : {0u, 1u}) {
+    SCOPED_TRACE("compaction_threads=" + std::to_string(c));
+    cola::ColaConfig cfg = cola::ingest_tuned(4, 16);
+    cfg.compaction_threads = c;
+    cfg.tombstone_threshold = 0.05;  // forced tombstone folds on this feed
+    cola::Gcola<> d(cfg);
+    RecordingObserver obs;
+    d.set_fold_observer(&obs, /*spill_depth=*/0);
+    Model model;
+    std::uint64_t seed = 0x0b5 + c;
+    for (std::size_t round = 0; round < 60; ++round) {
+      churn(d, model, seed, 4);
+      expect_reports_match_installed(d, obs, "churn");
+    }
+    EXPECT_GT(d.stats().forced_bottom_folds, 0u);
+    EXPECT_GT(obs.reports, 0u);
+
+    EXPECT_TRUE(d.compact_all());
+    expect_reports_match_installed(d, obs, "compact_all");
+    EXPECT_EQ(obs.live.size(), 1u);
+    expect_matches(d, model, "compacted contents");
+
+    // Erase every key: whichever fold annihilates the data to nothing must
+    // still retire the spilled segments it consumed.
+    std::vector<Key> keys;
+    for (const auto& kv : model) keys.push_back(kv.first);
+    model.clear();
+    const std::size_t empties = obs.empty_reports;
+    d.erase_batch(keys);
+    EXPECT_FALSE(d.compact_all());
+    expect_reports_match_installed(d, obs, "annihilated");
+    EXPECT_GT(obs.empty_reports, empties);
+    EXPECT_TRUE(obs.live.empty());
+    EXPECT_EQ(d.item_count(), 0u);
+    d.check_invariants();
+  }
 }
 
 }  // namespace

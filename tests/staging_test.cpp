@@ -386,6 +386,21 @@ TEST(DictConfigThreading, PresetsBuildEveryKind) {
   EXPECT_THROW(api::make_dictionary("nope"), std::invalid_argument);
 }
 
+TEST(DictConfigThreading, RejectsDurableDirWithoutSupport) {
+  // Nothing may be created: both configs throw before touching the path.
+  const std::string dir = "/nonexistent/costream-durable-reject";
+  // S shards would each open a DurableDictionary on the same WAL+manifest.
+  api::DictConfig sharded = api::DictConfig::durable(8, dir);
+  sharded.shards = 2;
+  EXPECT_THROW(api::make_dictionary("cola", sharded), std::invalid_argument);
+  // Only the COLA has a durable tier; other kinds used to ignore the dir.
+  for (const char* kind : {"shuttle", "deam", "fc-deam", "btree", "brt", "cob"}) {
+    EXPECT_THROW(api::make_dictionary(kind, api::DictConfig::durable(8, dir)),
+                 std::invalid_argument)
+        << kind;
+  }
+}
+
 TEST(DictConfigThreading, ConfigMapsOntoStructureConfigs) {
   const api::DictConfig c = api::DictConfig::ingest_tuned(8, 512);
   const ColaConfig cc = api::to_cola_config(c);
