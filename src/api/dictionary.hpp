@@ -20,9 +20,10 @@
 //     EXACTLY that version forever, across arbitrary later mutations of
 //     the dictionary. Nothing is ever invalidated; drop the handle and
 //     acquire a new one to observe newer data.
-//   * Acquisition is cheap: the tiered COLA pins its live segments (a
-//     refcount bump per segment plus one sorted copy of the staging
-//     arena), and repeated acquisitions between mutations return a cached
+//   * Acquisition is cheap: the tiered COLA pins its live segments and
+//     one immutable segment per staging run (a refcount bump per segment;
+//     only runs appended or rewritten since the last acquisition are
+//     copied), and repeated acquisitions between mutations return a cached
 //     handle (pure refcount bump). In-place structures (B-tree, CO B-tree,
 //     PMA-backed) materialize their contents into one segment per
 //     acquisition — O(N) copy, also cached per epoch — so snapshot() on

@@ -78,9 +78,9 @@
 // (snap::Segment held by shared_ptr): a fold retires its sources by
 // dropping the level's references, so any open snapshot keeps them alive
 // until it closes — deferred free by refcount, no drain barrier.
-// snapshot() stamps the current segment set plus a frozen copy of the
-// staging arena (collapsed to one ephemeral segment) at the current
-// mutation epoch, cached per epoch so repeated acquisitions between
+// snapshot() stamps the current segment set plus one immutable segment per
+// staging run (minted once, reused until the run is rewritten) at the
+// current mutation epoch, cached per epoch so repeated acquisitions between
 // mutations are refcount bumps. Classic (non-tiered) levels are rewritten
 // in place by merges, so their snapshot is copy-on-snapshot: each level's
 // real entries are copied into an immutable segment. All ordered reads —
@@ -439,40 +439,45 @@ class Gcola {
     return std::nullopt;
   }
 
-  /// Point-in-time snapshot (contract in api/dictionary.hpp): the current
-  /// segment set plus a frozen staging view, stamped at the current
-  /// mutation epoch. Cached per epoch — repeated acquisitions between
-  /// mutations are refcount bumps. Tiered mode pins the live segments
-  /// (zero copying beyond the staging arena); classic mode copies each
-  /// level's real entries into an immutable segment. The returned handle
-  /// stays exactly as stamped across arbitrary later mutations and is safe
-  /// to read from other threads.
+  /// Point-in-time snapshot (contract in api/dictionary.hpp) and the one
+  /// freeze path: ordered reads, cursor seeks, and the sharded facade's
+  /// per-job republish (snap::publish_view) all come through here. Stamped
+  /// at the current mutation epoch and cached per epoch, so repeated
+  /// acquisitions between mutations are refcount bumps. A mutated epoch
+  /// costs O(appended data) plus segment-handle copies: every staging run
+  /// is already sorted and deduplicated, so each run is its own immutable
+  /// segment, minted lazily once (with a Bloom filter when cfg.filters is
+  /// on, like fold outputs) and reused across epochs until the
+  /// binary-counter tail merge or a flush rewrites it (stage_run_segs_).
+  /// Tiered levels are pinned by refcount; classic levels are rewritten in
+  /// place by merges, so they are copy-on-snapshot. Segments land
+  /// newest-first: staging runs newest run first, then levels shallow to
+  /// deep. The returned handle stays exactly as stamped across arbitrary
+  /// later mutations and is safe to read from other threads.
   snap::Snapshot<K, V> snapshot() const {
     if (snap_cache_ && snap_epoch_ == mutation_epoch_) return snap_cache_;
     auto data = std::make_shared<snap::SnapshotData<K, V>>();
     data->epoch = mutation_epoch_;
     data->fence_keys = cfg_.fence_keys;
-    // The frozen staging view is the NEWEST source: a sorted, deduplicated
-    // copy of the arena (tombstones kept — they must shadow deeper copies;
-    // the readers suppress them). It keeps the arena's logical address so
-    // hooked reads charge the (cache-hot) arena region, as the pre-snapshot
-    // cursor did when it streamed the stage directly.
-    if (!stage_.empty()) {
-      // Each arena run is already sorted and unique, so the frozen view is
-      // a pairwise newest-wins collapse of the runs — the same kernel fold
-      // the flush path uses, not a from-scratch sort of the whole arena.
-      snap_stage_view_.assign(stage_.view());
-      snap_stage_runs_ = stage_runs_;
-      std::uint64_t dups = 0;  // local: const reads must not disturb fold stats
-      kern::collapse_runs(snap_stage_view_, snap_stage_runs_, snap_stage_tmp_,
-                          snap_stage_runs_scratch_, isa_, &dups);
-      if (snap::SegmentRef<K, V> seg = snap::make_segment(
-              std::move(snap_stage_view_.keys), std::move(snap_stage_view_.vals),
-              std::move(snap_stage_view_.flags), /*id=*/0, stage_base_,
-              mutation_epoch_)) {
-        data->segs.push_back(std::move(seg));
+    // Staging runs are the NEWEST sources (tombstones kept — they must
+    // shadow deeper copies; the readers suppress them). Each run segment
+    // keeps its slice of the arena's logical address range, so hooked
+    // reads charge the (cache-hot) arena region. Minting is an in-memory
+    // mirror, not structural IO: it charges nothing to the DAM model.
+    for (std::size_t r = stage_runs_.size(); r-- > 0;) {
+      if (!stage_run_segs_[r]) {
+        const std::uint32_t b = stage_runs_[r];
+        const std::uint32_t e = stage_run_end(r);
+        stage_run_segs_[r] = snap::make_segment(
+            std::vector<K>(stage_.keys.begin() + b, stage_.keys.begin() + e),
+            std::vector<V>(stage_.vals.begin() + b, stage_.vals.begin() + e),
+            std::vector<std::uint8_t>(stage_.flags.begin() + b,
+                                      stage_.flags.begin() + e),
+            /*id=*/0,
+            stage_base_ + static_cast<std::uint64_t>(b) * sizeof(TItem),
+            mutation_epoch_, cfg_.filters);
       }
-      snap_stage_view_.clear();
+      data->segs.push_back(stage_run_segs_[r]);
     }
     if (cfg_.tiered) {
       // Levels shallow -> deep, segments newest -> oldest: exactly the
@@ -492,66 +497,23 @@ class Gcola {
       // hooked cursor reads then charge the copy's region per probe.
       for (std::size_t l = 0; l < levels_.size(); ++l) {
         if (levels_[l].real_count == 0) continue;
-        extract_level_planes(l, snap_stage_view_);
+        extract_level_planes(l, snap_level_copy_);
         const std::uint64_t base = next_base_;
-        next_base_ += snap_stage_view_.size() * sizeof(TItem);
+        next_base_ += snap_level_copy_.size() * sizeof(TItem);
         if (snap::SegmentRef<K, V> seg = snap::make_segment(
-                std::move(snap_stage_view_.keys),
-                std::move(snap_stage_view_.vals),
-                std::move(snap_stage_view_.flags), /*id=*/0, base,
+                std::move(snap_level_copy_.keys),
+                std::move(snap_level_copy_.vals),
+                std::move(snap_level_copy_.flags), /*id=*/0, base,
                 mutation_epoch_)) {
           mm_.touch_write(base, seg->size() * sizeof(TItem));
           data->segs.push_back(std::move(seg));
         }
-        snap_stage_view_.clear();
+        snap_level_copy_.clear();
       }
     }
     snap_cache_ = snap::Snapshot<K, V>(std::move(data));
     snap_epoch_ = mutation_epoch_;
     return snap_cache_;
-  }
-
-  /// Lock-free publication source for the sharded facade's barrier-free
-  /// read path (the shard worker republishes after every applied job): the
-  /// same frozen contents snapshot() pins, built without the per-epoch
-  /// cache and without collapsing the staging arena. Every staging run is
-  /// already sorted and deduplicated on its own, so each run becomes its
-  /// own immutable segment — minted lazily once and reused across
-  /// republishes (stage_run_segs_); the binary-counter tail merge
-  /// invalidates exactly the runs it rewrites. A republish after a batch
-  /// append therefore costs O(appended data) plus segment-handle copies,
-  /// not a sort of the whole arena. Segments land newest-first: staging
-  /// runs (newest run first), then tiered levels shallow to deep. Classic
-  /// (non-tiered) levels are rewritten in place by merges and have no
-  /// immutable units to pin, so they fall back to the cached
-  /// copy-on-snapshot path. Owner-thread only, like every const read;
-  /// the RETURNED view is immutable and free-threaded. Publication is an
-  /// in-memory mirror, not structural IO — it charges nothing to the DAM
-  /// model (dam/bounds.hpp::sharded_search_transfer_bound).
-  std::shared_ptr<const snap::SnapshotData<K, V>> publish_view() const {
-    if (!cfg_.tiered) return snapshot().data();
-    auto data = std::make_shared<snap::SnapshotData<K, V>>();
-    data->epoch = mutation_epoch_;
-    data->fence_keys = cfg_.fence_keys;
-    for (std::size_t r = stage_runs_.size(); r-- > 0;) {
-      if (!stage_run_segs_[r]) {
-        const std::uint32_t b = stage_runs_[r];
-        const std::uint32_t e = stage_run_end(r);
-        stage_run_segs_[r] = snap::make_segment(
-            std::vector<K>(stage_.keys.begin() + b, stage_.keys.begin() + e),
-            std::vector<V>(stage_.vals.begin() + b, stage_.vals.begin() + e),
-            std::vector<std::uint8_t>(stage_.flags.begin() + b,
-                                      stage_.flags.begin() + e),
-            /*id=*/0,
-            stage_base_ + static_cast<std::uint64_t>(b) * sizeof(TItem),
-            mutation_epoch_);
-      }
-      data->segs.push_back(stage_run_segs_[r]);
-    }
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      push_level_segs(l, data->segs);
-    }
-    return data;
   }
 
   /// Visit live entries with lo_key <= key <= hi_key ascending; newest value
@@ -1379,7 +1341,7 @@ class Gcola {
       stage_run_min_.pop_back();
       stage_run_max_.pop_back();
       // The merge rewrote the surviving run in place: drop both mirrors so
-      // the next publish_view() re-mints exactly this run.
+      // the next snapshot() re-mints exactly this run.
       stage_run_segs_.pop_back();
       stage_run_segs_.back().reset();
       // The merged run's fences span both inputs; read them off the data.
@@ -2505,11 +2467,11 @@ class Gcola {
   // O(1) to maintain, used by find and the cursors to skip runs.
   std::vector<K> stage_run_min_, stage_run_max_;
   // Lazily minted immutable mirrors of the staging runs (parallel to
-  // stage_runs_; nullptr = not minted yet). publish_view() fills the gaps
-  // and reuses minted mirrors across republishes: appends only add new
-  // runs, and the binary-counter tail merge invalidates exactly the runs
-  // it rewrites — so a republish costs O(new data), not an arena sort.
-  // Mutable: minting happens inside const publish_view().
+  // stage_runs_; nullptr = not minted yet). snapshot() fills the gaps and
+  // reuses minted mirrors across epochs: appends only add new runs, and
+  // the binary-counter tail merge invalidates exactly the runs it rewrites
+  // — so a snapshot costs O(new data), not an arena collapse.
+  // Mutable: minting happens inside const snapshot().
   mutable std::vector<snap::SegmentRef<K, V>> stage_run_segs_;
   // Tiered cascade scratch: incoming run spans (prepared by callers of
   // cascade_run_tiered), gathered source spans, run boundaries, fold
@@ -2544,13 +2506,11 @@ class Gcola {
   std::vector<std::uint64_t> spill_consumed_;
   // Snapshot cache: snapshot() is a refcount bump while the dictionary is
   // unmutated (snap_epoch_ == mutation_epoch_); the first acquisition after
-  // a mutation rebuilds. The stage-view vectors are the frozen-L0 scratch
-  // (reused across rebuilds, so steady-state snapshots cost one segment
-  // allocation, not a per-call sort buffer).
+  // a mutation rebuilds. snap_level_copy_ is the classic copy-on-snapshot
+  // extraction scratch.
   mutable snap::Snapshot<K, V> snap_cache_;
   mutable std::uint64_t snap_epoch_ = 0;
-  mutable kern::RunBuf<K, V> snap_stage_view_, snap_stage_tmp_;
-  mutable std::vector<std::uint32_t> snap_stage_runs_, snap_stage_runs_scratch_;
+  mutable kern::RunBuf<K, V> snap_level_copy_;
   // Dictionary-owned scan cursor backing range_for_each/for_each, so the
   // scan paths reuse one warm merge scratch across calls (mutable: scans
   // are const and the cursor is pure scratch; scans are not reentrant).

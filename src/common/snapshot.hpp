@@ -525,20 +525,17 @@ Snapshot<K, V> materialize(const D& d, std::uint64_t epoch) {
 
 /// Republish shim for single-writer owners that mirror their contents to
 /// concurrent readers (shard/sharded_dictionary.hpp republishes after every
-/// applied job): prefer a structure's own cheap `publish_view()` — Gcola
-/// mints per-staging-run segments and pins its tiered levels, so a
-/// republish costs O(newly appended data), with no facade-wide epoch cache
-/// in the loop — and fall back to the snapshot() handle for everything
-/// else, whose per-epoch cache makes repeated publishes of an unmutated
-/// structure refcount bumps (copy-on-snapshot structures pay their O(n)
-/// materialize per mutated publish; fine for tests, measured unfit for hot
-/// ingest). Owner-thread only; the RETURNED data is immutable and
-/// free-threaded.
+/// applied job): the structure's own snapshot(), whose per-epoch cache
+/// makes a republish of an unmutated structure a refcount bump. Gcola's
+/// snapshot pins its staging runs and tiered levels, so a mutated
+/// republish costs O(newly appended data) — through every wrapper that
+/// forwards snapshot() (DurableDictionary, AnyDictionary) as well.
+/// Copy-on-snapshot structures pay their O(n) materialize per mutated
+/// publish (fine for tests, measured unfit for hot ingest). Owner-thread
+/// only; the RETURNED data is immutable and free-threaded.
 template <class K, class V, class D>
 std::shared_ptr<const SnapshotData<K, V>> publish_view(const D& d) {
-  if constexpr (requires { d.publish_view(); }) {
-    return d.publish_view();
-  } else if constexpr (requires { d.snapshot(); }) {
+  if constexpr (requires { d.snapshot(); }) {
     return d.snapshot().data();
   } else {
     // Snapshot-less inner (test doubles): nothing to mirror — concurrent

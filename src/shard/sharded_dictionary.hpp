@@ -55,12 +55,14 @@
 //
 // Optimistic reads (the seqlock-shaped core, ROADMAP "Barrier-free point
 // reads"): after EVERY applied job, a shard's worker republishes the
-// shard's contents as an immutable ref-counted view (snap::publish_view —
-// per-staging-run segments make this O(newly appended data) on the tiered
-// Gcola) together with the count of jobs it has applied, then bumps the
-// shard's publication sequence. The facade, on every submit, republishes
-// the shard's ACKNOWLEDGED-PENDING overlay: immutable copies of the runs
-// it has handed to the ring that the published view may not cover yet.
+// shard's contents as an immutable ref-counted view (snap::publish_view,
+// i.e. the inner's snapshot(): the Gcola pins its staging runs and
+// levels, so a republish costs O(newly appended data), also through
+// DurableDictionary) together with the count of jobs it has applied, then
+// bumps the shard's publication sequence. The facade, on every submit,
+// republishes the shard's ACKNOWLEDGED-PENDING overlay: immutable copies of
+// the runs it has handed to the ring that the published view may not cover
+// yet.
 // A find loads the sequence, the overlay, then the view (that load order
 // matters: the overlay is pruned against a view the facade observed
 // EARLIER, so read-read coherence on the view pointer guarantees the

@@ -406,8 +406,11 @@ class DurableDictionary {
       // whose live set is just that partial fold — silently dropping the
       // previous checkpoint's full-state segment, whose content the WAL no
       // longer covers. compact_all's own flush is then a no-op, so exactly
-      // its one final all-levels fold runs as the full-state spill.
+      // its one final all-levels fold runs as the full-state spill. The
+      // same holds for a background fold (one the flush deferred, or one
+      // already in flight): it must install here, not inside compact_all.
       inner.flush_stage();
+      inner.drain_compaction();
       if (spiller.failed) {
         spiller.failed = false;
         throw IOError("checkpoint pre-flush spill failed: " + spiller.error);

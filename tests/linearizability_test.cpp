@@ -30,6 +30,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <mutex>
 #include <string>
@@ -40,6 +41,8 @@
 #include "common/rng.hpp"
 #include "common/span.hpp"
 #include "shard/sharded_dictionary.hpp"
+#include "storage/durable_dict.hpp"
+#include "storage/fault_env.hpp"
 
 namespace costream {
 namespace {
@@ -99,9 +102,7 @@ struct SlowCola {
     inner.apply_batch(ops);
   }
   void flush_stage() { inner.flush_stage(); }
-  std::shared_ptr<const snap::SnapshotData<Key, Value>> publish_view() const {
-    return inner.publish_view();
-  }
+  snap::Snapshot<Key, Value> snapshot() const { return inner.snapshot(); }
 };
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
@@ -291,6 +292,29 @@ HammerResult run_hammer(const HammerOptions& opt) {
   return run_hammer_on(d, opt);
 }
 
+/// The served composition: the facade over DurableDictionary shards, each
+/// on its own in-memory env with no faults scheduled, so the WAL, spills
+/// and checkpoints all run on the shard workers while readers storm.
+HammerResult run_durable_hammer(const HammerOptions& opt) {
+  ShardedConfig<> sc;
+  sc.shards = opt.shards;
+  sc.splitters = even_splitters(opt.shards, kKeys);
+  std::vector<std::unique_ptr<storage::FaultInjectionEnv>> envs;
+  for (std::size_t i = 0; i < opt.shards; ++i) {
+    envs.push_back(std::make_unique<storage::FaultInjectionEnv>());
+  }
+  ShardedDictionary<storage::DurableDictionary> d(sc, [&](std::size_t i) {
+    storage::DurableConfig cfg;
+    cfg.inner = cola::ingest_tuned(4, 24);
+    cfg.inner.compaction_threads = opt.compaction_threads;
+    cfg.group_commit_bytes = 4u << 10;
+    cfg.checkpoint_wal_bytes = 64u << 10;
+    cfg.spill_depth = 2;
+    return storage::DurableDictionary(*envs[i], cfg);
+  });
+  return run_hammer_on(d, opt);
+}
+
 // Total find budget across all seeds. TSan's interceptors slow the storm
 // by an order of magnitude, so the instrumented job runs a smaller — but
 // still race-revealing — budget; plain jobs cover >= 10^6 interleavings.
@@ -367,6 +391,26 @@ TEST(Linearizability, HammerBackgroundCompactionArms) {
       EXPECT_EQ(res.drains_delta, 0u)
           << "find() took a drain barrier (c=" << c << ", s=" << s << ")";
     }
+  }
+}
+
+TEST(Linearizability, HammerServedDurableComposition) {
+  // The stack the end-to-end benchmark serves: sharded facade over
+  // DurableDictionary shards with one background compaction thread, whose
+  // per-job republish goes through DurableDictionary::snapshot().
+  const std::uint64_t total = env_u64("LIN_HAMMER_FINDS", kDefaultTotalFinds);
+  const std::uint64_t per_arm = std::max<std::uint64_t>(total / 6, 10'000);
+  for (const std::size_t s : {1u, 2u}) {
+    HammerOptions opt;
+    opt.shards = s;
+    opt.readers = 4;
+    opt.seed = 7919 * (40 + s);
+    opt.find_quota = per_arm;
+    opt.compaction_threads = 1;
+    opt.writer_self_reads = true;
+    const auto res = run_durable_hammer(opt);
+    EXPECT_EQ(res.violations, 0u) << "shards=" << s << ": " << res.first_violation;
+    EXPECT_EQ(res.drains_delta, 0u) << "find() took a drain barrier (s=" << s << ")";
   }
 }
 

@@ -334,6 +334,151 @@ TEST(Snapshot, DetachedHandleReadableFromOtherThreads) {
   EXPECT_TRUE(ok.load()) << "a reader observed something other than the stamp";
 }
 
+/// Staged Gcola configs whose arena holds several runs in front of either
+/// tiered segments or classic (copy-on-snapshot) levels.
+cola::ColaConfig staged_config(bool tiered, bool fences, bool filters) {
+  cola::ColaConfig cfg = tiered ? cola::ingest_tuned(4, 64) : cola::ColaConfig{};
+  if (!tiered) cfg.staging_capacity = 256;
+  cfg.fence_keys = fences;
+  cfg.filters = filters;
+  return cfg;
+}
+
+TEST(Snapshot, StagedRunsArePinnedNotRecollapsed) {
+  // A mutated-epoch snapshot pins each staging run as its own immutable
+  // segment and reuses every run the mutation left alone, so republishing
+  // after an append costs O(appended data), not a collapse of the arena.
+  for (const bool tiered : {true, false}) {
+    for (const bool filters : {false, true}) {
+      SCOPED_TRACE(std::string(tiered ? "tiered" : "classic") +
+                   (filters ? " filters" : " no-filters"));
+      cola::Gcola<> d(staged_config(tiered, /*fences=*/true, filters));
+      // Halving run sizes keep the binary-counter tail merge from fusing
+      // them; 120 entries stay well below the 256-entry arena.
+      Key next = 0;
+      for (const std::size_t n : {64u, 32u, 16u, 8u}) {
+        std::vector<Entry<>> batch;
+        for (std::size_t i = 0; i < n; ++i, ++next) batch.push_back({next, next});
+        d.insert_batch(batch);
+      }
+      ASSERT_EQ(d.stage_run_count(), 4u);
+      const snap::Snapshot<> a = d.snapshot();
+      ASSERT_EQ(a.segments().size(), 4u) << "one segment per run, no levels yet";
+      EXPECT_EQ(d.snapshot().data(), a.data()) << "unmutated epoch must be cached";
+
+      // A singleton append (8 > 1: no tail merge) mints exactly one segment.
+      std::int64_t before = snap::live_segment_count().load();
+      d.insert(next, next);
+      ++next;
+      const snap::Snapshot<> b = d.snapshot();
+      EXPECT_EQ(snap::live_segment_count().load() - before, 1);
+      ASSERT_EQ(b.segments().size(), 5u);
+      EXPECT_EQ(b.segments()[0]->size(), 1u);
+      for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(b.segments()[i + 1].get(), a.segments()[i].get())
+            << "untouched run " << i << " was re-minted";
+      }
+
+      // A second singleton merges with the first (1 <= 1): only the merged
+      // run is re-minted; b still pins the old singleton, so none is freed.
+      before = snap::live_segment_count().load();
+      d.insert(next, next);
+      ++next;
+      const snap::Snapshot<> c = d.snapshot();
+      EXPECT_EQ(snap::live_segment_count().load() - before, 1);
+      ASSERT_EQ(c.segments().size(), 5u);
+      EXPECT_EQ(c.segments()[0]->size(), 2u);
+      EXPECT_NE(c.segments()[0].get(), b.segments()[0].get());
+      for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(c.segments()[i + 1].get(), a.segments()[i].get());
+      }
+      for (const snap::SegmentRef<>& seg : c.segments()) {
+        EXPECT_EQ(!seg->filter.empty(), filters)
+            << "run segments carry a filter exactly when cfg.filters is on";
+      }
+
+      Model model;
+      for (Key k = 0; k < next; ++k) model[k] = k;
+      expect_snapshot_matches(c, model, next);
+      d.check_invariants();
+    }
+  }
+}
+
+TEST(Snapshot, StagedViewsMatchLiveFindAndModel) {
+  // Differential: snapshots of arenas whose runs hold cross-run duplicates
+  // and tombstones shadowing level data read exactly like the live
+  // structure and a std::map model — through Snapshot::find, full scans,
+  // and bounded cursor seeks — and keep reading their stamp afterwards.
+  constexpr Key kUniverse = 600;
+  for (const bool tiered : {true, false}) {
+    for (const bool fences : {true, false}) {
+      for (const bool filters : {false, true}) {
+        SCOPED_TRACE(std::string(tiered ? "tiered" : "classic") +
+                     (fences ? " fences" : " no-fences") +
+                     (filters ? " filters" : " no-filters"));
+        cola::Gcola<> d(staged_config(tiered, fences, filters));
+        Model model;
+        std::vector<Entry<>> preload;
+        for (Key k = 0; k < kUniverse; ++k) {
+          preload.push_back({k, k});
+          model[k] = k;
+        }
+        d.insert_batch(preload);  // over capacity: lands in the levels
+        std::uint64_t s = 0x5eed + (tiered ? 1 : 0) + (fences ? 2 : 0) +
+                          (filters ? 4 : 0);
+        std::size_t max_runs = 0;
+        snap::Snapshot<> held;
+        Model held_model;
+        for (int round = 0; round < 60; ++round) {
+          // Batches drawn from a 64-key hot window: runs overlap each other
+          // and the levels; a third of the ops are tombstones.
+          const Key window = splitmix64(s) % (kUniverse - 64);
+          for (int b = 0; b < 3; ++b) {
+            std::vector<Op<>> ops;
+            const std::size_t len = 1 + splitmix64(s) % 12;
+            for (std::size_t j = 0; j < len; ++j) {
+              const std::uint64_t r = splitmix64(s);
+              const Key k = window + r % 64;
+              if ((r >> 32) % 3 == 0) {
+                ops.push_back(Op<>::del(k));
+                model.erase(k);
+              } else {
+                ops.push_back(Op<>::put(k, r));
+                model[k] = r;
+              }
+            }
+            d.apply_batch(ops);
+          }
+          max_runs = std::max(max_runs, d.stage_run_count());
+          const snap::Snapshot<> snap = d.snapshot();
+          expect_snapshot_matches(snap, model, kUniverse);
+          for (Key k = 0; k < kUniverse; ++k) {
+            ASSERT_EQ(snap.find(k), d.find(k)) << "round " << round << " key " << k;
+          }
+          for (const Key lo : {Key{0}, window, window + 40, Key{kUniverse - 10}}) {
+            auto c = snap.make_cursor();
+            auto want = model.lower_bound(lo);
+            for (c.seek(lo, lo + 50); c.valid(); c.next(), ++want) {
+              ASSERT_NE(want, model.end());
+              ASSERT_EQ(c.entry().key, want->first) << "seek " << lo;
+              ASSERT_EQ(c.entry().value, want->second) << "seek " << lo;
+            }
+            EXPECT_TRUE(want == model.end() || want->first > lo + 50) << "seek " << lo;
+          }
+          if (held) expect_snapshot_matches(held, held_model, kUniverse);
+          if (round % 7 == 0) {
+            held = snap;
+            held_model = model;
+          }
+        }
+        EXPECT_GE(max_runs, 3u) << "the arena never held several runs";
+        d.check_invariants();
+      }
+    }
+  }
+}
+
 TEST(Snapshot, EmptyAndDefaultHandles) {
   const snap::Snapshot<> empty;
   EXPECT_FALSE(static_cast<bool>(empty));
