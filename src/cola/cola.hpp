@@ -108,10 +108,12 @@
 // tombstoned delete is one merge into the first level with room. Ingest:
 // every mutator feeds ingest_run (sort in the caller's element form, then
 // stage_append into the arena or cascade_run into the levels; put() is a
-// one-element run). Fold: the forced retention fold and compact_all are one
-// full fold (fold_all). Install: inline folds and background installs land
-// through install_segment, which also reports the installed immutable
-// snap::Segment to the durable tier's FoldObserver.
+// one-element run). Fold: every tiered fold — cascade, forced retention,
+// compact_all — enters fold(), which gathers the inputs, decides the
+// tombstone drop, and runs one compact::FoldJob (one kernel, one strip,
+// one filter mint) either on the writer thread or on the compaction pool.
+// Install: every fold output lands through install(), which mints the
+// segment and reports it to the durable tier's FoldObserver.
 #pragma once
 
 #include <algorithm>
@@ -247,9 +249,13 @@ struct ColaStats {
 /// worker mutates), same pattern as the sharded facade's stats.
 struct CompactionStats {
   std::uint64_t folds_deferred = 0;  // folds enqueued to the process pool
-  std::uint64_t writer_assists = 0;  // folds the writer ran inline anyway
-                                     // (queue saturated, overlapping
-                                     // cascade, retention pressure, drain)
+  // Folds the pool was to run that the writer ran itself: a submit the
+  // saturated queue refused, a pending job claimed back at a blocking
+  // point (deeper cascade, retention, drain, checkpoint) before a worker
+  // took it, and a failed pool run retried on the writer. A fold that
+  // trips while another is pending runs inline without reaching the pool
+  // and is not counted.
+  std::uint64_t writer_assists = 0;
   std::uint64_t compaction_queue_peak = 0;  // this structure's high-water
                                             // pool queue depth at submit
   std::uint64_t bg_fold_ns = 0;  // total wall ns spent inside fold jobs
@@ -301,13 +307,13 @@ class Gcola {
   }
 
   /// True while a background fold is in flight or awaiting install.
-  bool compaction_pending() const noexcept { return pending_active_; }
+  bool compaction_pending() const noexcept { return pend_job_ != nullptr; }
 
   /// Complete and install any in-flight background fold (writer thread
   /// only, like every mutator). The quiesce point for checkpoints, shard
   /// drains, bulk loads, and tests that assert on settled structure.
   void drain_compaction() {
-    if (pending_active_) assist_pending();
+    land_pending(/*block=*/true);
   }
 
   /// Physical real entries (including not-yet-annihilated tombstones and
@@ -317,7 +323,7 @@ class Gcola {
   std::uint64_t item_count() const noexcept {
     std::uint64_t n = stage_.size();
     for (const Level& lv : levels_) n += lv.real_count;
-    if (pending_active_) n += pend_total_in_;
+    if (pend_job_) n += pend_job_->total;
     return n;
   }
 
@@ -598,7 +604,7 @@ class Gcola {
   void flush_stage() {
     if (stage_.empty()) return;
     ++mutation_epoch_;
-    poll_install();
+    land_pending(/*block=*/false);
     ensure_level(0);
     ++stats_.stage_flushes;
     ++stats_.batch_merges;
@@ -735,7 +741,8 @@ class Gcola {
     ++mutation_epoch_;
     if (item_count() == 0) return false;
     ++stats_.merges;
-    return fold_all(min_target);
+    fold(min_target, /*full=*/true, /*may_defer=*/false);
+    return item_count() > 0;  // the fold consumed everything else
   }
 
   // -- verification -----------------------------------------------------------
@@ -846,6 +853,8 @@ class Gcola {
 
  private:
   enum : std::uint32_t { kFlagLookahead = 1u, kFlagTombstone = 2u };
+  // install() position: land the segment as its level's newest.
+  static constexpr std::size_t kAppend = std::numeric_limits<std::size_t>::max();
 
   /// Tiered-mode invariants: ref-counted segments each nonempty, sorted
   /// with unique keys, fences and tombstone counts consistent with their
@@ -919,10 +928,7 @@ class Gcola {
         throw std::logic_error("cola: level stale count drift");
       }
     }
-    if (pending_active_) {
-      if (pend_job_ == nullptr) {
-        throw std::logic_error("cola: pending fold without a job");
-      }
+    if (pend_job_) {
       if (pend_target_ >= levels_.size()) {
         throw std::logic_error("cola: pending fold targets missing level");
       }
@@ -936,7 +942,7 @@ class Gcola {
         }
         in_total += s->size();
       }
-      if (in_total != pend_total_in_) {
+      if (in_total != pend_job_->total) {
         throw std::logic_error("cola: pending fold mass drift");
       }
     }
@@ -1190,7 +1196,7 @@ class Gcola {
       // then the segments that predate the fold — the exact order the
       // install will freeze (output lands at pend_prior_segs_, below the
       // arrivals). Reads are coherent mid-flight without any barrier.
-      if (pending_active_ && l == pend_target_) {
+      if (pend_job_ && l == pend_target_) {
         const Level& lv = levels_[l];
         const std::size_t prior = std::min(pend_prior_segs_, lv.segs.size());
         if (find_in_segs(lv.segs.data() + prior, lv.segs.size() - prior, key,
@@ -1297,7 +1303,7 @@ class Gcola {
   /// data instead of a log2(capacity)-pass sort.
   void normalize_stage() {
     kern::collapse_runs(stage_, stage_runs_, tfold_tmp_, stage_runs_scratch_,
-                        isa_, &last_collapse_final_dups_);
+                        isa_, /*final_dups=*/nullptr);
   }
 
   /// Widen an Entry run onto the plane buffer, appending to `out` — the one
@@ -1378,7 +1384,7 @@ class Gcola {
   void ingest_run(std::vector<It>& run, std::vector<It>& scratch, std::size_t n_raw) {
     if (run.empty()) return;
     ++mutation_epoch_;
-    poll_install();
+    land_pending(/*block=*/false);
     // Normalize while the batch is small and cache-hot (k entries, not the
     // whole arena); the arena flush then merges presorted runs.
     sort_by_key(run, scratch);
@@ -1500,7 +1506,7 @@ class Gcola {
   /// Level occupancy including the in-flight fold's (pre-dedup) mass.
   std::uint64_t level_mass(std::size_t l) const noexcept {
     std::uint64_t m = levels_[l].real_count;
-    if (pending_active_ && l == pend_target_) m += pend_total_in_;
+    if (pend_job_ && l == pend_target_) m += pend_job_->total;
     return m;
   }
 
@@ -1508,7 +1514,7 @@ class Gcola {
   /// one segment to pend_target_, so the level reads as full one earlier.
   bool level_committed_full(std::size_t t) const noexcept {
     if (level_full(t)) return true;
-    return pending_active_ && t == pend_target_ &&
+    return pend_job_ && t == pend_target_ &&
            levels_[t].segs.size() + 1 >= cfg_.growth - 1;
   }
 
@@ -1523,8 +1529,8 @@ class Gcola {
     // assist when no worker has finished it yet) and re-pick the target
     // with real occupancy. This is the one ordering barrier the background
     // engine keeps: data never moves DEEPER past a pending install point.
-    if (pending_active_ && t > pend_target_) {
-      assist_pending();
+    if (pend_job_ && t > pend_target_) {
+      land_pending(/*block=*/true);
       t = select_cascade_target(incoming);
     }
     // Trivial move: when the cascade is about to drain the deepest data
@@ -1569,7 +1575,7 @@ class Gcola {
     }
     ensure_level(t);
     ++stats_.merges;
-    if (!try_defer_fold(t)) cascade_into_tiered(t);
+    fold(t, /*full=*/false, /*may_defer=*/true);
     maybe_fold_bottom_tombstones();
   }
 
@@ -1642,8 +1648,8 @@ class Gcola {
     // clear the pressure (or move the deepest level) entirely. Re-enter
     // with the settled state; the pending slot is now free, so the second
     // pass cannot loop.
-    if (pending_active_) {
-      assist_pending();
+    if (pend_job_) {
+      land_pending(/*block=*/true);
       maybe_fold_bottom_tombstones();
       return;
     }
@@ -1653,193 +1659,181 @@ class Gcola {
     // The forced fold is the retention policy's correctness valve, but it
     // is still just a fold over immutable segments — defer it too, at
     // `forced` priority (jumps the pool queue, never rejected for depth).
-    if (try_defer_forced_fold()) return;
-    fold_all(/*min_target=*/0);
+    fold(/*t=*/0, /*full=*/true, /*may_defer=*/true);
   }
 
-  /// The full fold behind the forced retention fold and compact_all:
-  /// levels 0..d (d = deepest) collapse into ONE stripped segment. No older
-  /// copy of any key can exist below the deepest level, so every tombstone
-  /// and every shadowed duplicate dies here — and at small g, where a level
+  /// The one tiered fold. A cascade fold (`full` false) consumes levels
+  /// [0, t) plus incoming_spans_ into level t. A full fold — the forced
+  /// retention fold and compact_all — consumes levels [0, d] (d = deepest)
+  /// into ONE stripped segment no shallower than max(d, t): no older copy
+  /// of any key can exist below the deepest level, so every tombstone and
+  /// every shadowed duplicate dies here — and at small g, where a level
   /// holds a single segment, the shadowed copies live across LEVELS, which
-  /// is why the fold takes them all. Returns true when a segment was
-  /// produced.
-  bool fold_all(std::size_t min_target) {
+  /// is why the fold takes them all.
+  ///
+  /// Gathers the inputs, decides the tombstone drop, collects the consumed
+  /// spill ids, then hands the job to the pool (`may_defer`, engine on, the
+  /// one pending slot free, and the pool accepts) or runs it on this thread
+  /// and installs it. Either way the sources are cleared only after the
+  /// job has them: run, or pinned by refcount.
+  void fold(std::size_t t, bool full, bool may_defer) {
     const std::size_t d = deepest_nonempty();
-    const std::size_t total = gather_level_spans(d + 1);
-    collapse_fold_spans(total);
-    stats_.duplicates_dropped += total - tfold_buf_.size();
-    strip_tombstones(tfold_buf_);
-    gather_spill_consumed(d + 1, spill_consumed_);
-    for (std::size_t l = 0; l <= d; ++l) clear_level(levels_[l]);
+    const std::size_t hi = full ? d + 1 : t;  // levels [0, hi) are consumed
+    std::size_t target = full ? std::max(d, t) : t;
+    std::shared_ptr<compact::FoldJob<K, V>> pooled;
+    if (may_defer && bg_enabled_ && !pend_job_) {
+      pooled = std::make_shared<compact::FoldJob<K, V>>();
+    }
+    compact::FoldJob<K, V>& job = pooled ? *pooled : *fold_job_;
+    // Inputs oldest -> newest: deeper level = older, a level's first
+    // segment is its oldest, the incoming run newest of all; each charged
+    // one streaming read. Inline spans alias the sources (nothing copied);
+    // a deferred job pins them, and owns copies of the incoming spans,
+    // which alias reusable scratch.
+    const auto view = [](const Seg& seg) {
+      return kern::RunView<K, V>{seg.keys.data(), seg.vals.data(),
+                                 seg.flags.data(), seg.size()};
+    };
+    job.spans.clear();
+    job.total = 0;
+    for (std::size_t l = hi; l-- > 0;) {
+      for (const SegRef& seg : levels_[l].segs) {
+        mm_.touch(seg->base_addr, seg->size() * sizeof(TItem));
+        job.spans.push_back(view(*seg));
+        if (pooled) job.inputs.push_back(seg);
+        job.total += seg->size();
+      }
+    }
+    if (!full) {
+      for (const kern::RunView<K, V>& s : incoming_spans_) {
+        job.total += s.n;
+        if (!pooled) {
+          job.spans.push_back(s);
+        } else if (SegRef seg = snap::make_segment<K, V>(
+                       std::vector<K>(s.keys, s.keys + s.n),
+                       std::vector<V>(s.vals, s.vals + s.n),
+                       std::vector<std::uint8_t>(s.flags, s.flags + s.n),
+                       /*id=*/0, /*base_addr=*/0, mutation_epoch_)) {
+          job.spans.push_back(view(*seg));
+          job.inputs.push_back(std::move(seg));
+        }
+      }
+    }
+    // A tombstone can be discarded only when no older copy of its key can
+    // exist anywhere: deepest level, no older segments in the target, and
+    // no background fold targeting it (that output is OLDER and installs
+    // below this one; deepest_nonempty already counts the pending target).
+    job.drop_tombstones = full || (t >= d && levels_[t].real_count == 0 &&
+                                   !(pend_job_ && pend_target_ == t));
+    job.mint_filter = cfg_.filters;
+    job.isa = isa_;
+    // A job made for the pool fans out wherever it runs; the writer's own
+    // job runs serially, as every fold did before there was a pool.
+    job.ways = pooled ? cfg_.compaction_threads : 1;
+    bool deferred = false;
+    if (pooled) {
+      // Deferred folds place by input mass: reads interleave the pending
+      // inputs at the target from now on, before the output size is known.
+      std::size_t at = target;
+      while (real_cap(at) < job.total) ++at;
+      ensure_level(at);
+      std::uint64_t depth = 0;
+      // Full folds jump the queue: they are the retention policy's
+      // correctness valve (and are never rejected for depth).
+      deferred = compact::Pool::instance().submit(
+          [pooled] {
+            if (pooled->try_claim()) pooled->run();
+          },
+          /*forced=*/full, &depth);
+      if (deferred) {
+        target = at;
+        cstats_->folds_deferred.fetch_add(1, std::memory_order_relaxed);
+        std::uint64_t peak = cstats_->queue_peak.load(std::memory_order_relaxed);
+        while (depth > peak && !cstats_->queue_peak.compare_exchange_weak(
+                                   peak, depth, std::memory_order_relaxed)) {
+        }
+      } else {
+        // The pool refused (queue saturated): the writer folds it itself.
+        cstats_->writer_assists.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (!deferred) finish_on_writer(job, /*run_here=*/true);
+    gather_spill_consumed(hi, job.consumed);
+    for (std::size_t l = 0; l < hi; ++l) clear_level(levels_[l]);
     // This fold IS a bottom compaction: the next deepest-level drain may
     // take the trivial move again.
-    bottom_relocated_ = false;
-    // Levels 0..d together hold up to g/(g-1) * real_cap(d) items, so a
-    // fold that annihilates little can exceed the deepest level's own
-    // capacity — place the output in the shallowest level that fits it
-    // (usually d; one deeper in the adversarial no-duplicates case).
-    std::size_t target = std::max(d, min_target);
-    while (real_cap(target) < tfold_buf_.size()) ++target;
-    install_fold_output(target, /*stale_est=*/0);
-    return !tfold_buf_.empty();
+    if (job.drop_tombstones) bottom_relocated_ = false;
+    if (deferred) {
+      pend_job_ = std::move(pooled);
+      pend_target_ = target;
+      // After the clear, so a full fold whose target sits INSIDE the
+      // consumed range records install position 0 (the fold is the oldest
+      // data the level will ever hold again).
+      pend_prior_segs_ = levels_[target].segs.size();
+      return;
+    }
+    // Inline folds place by output size: levels 0..d together hold up to
+    // g/(g-1) * real_cap(d) items, so a full fold that annihilates little
+    // can exceed the deepest level's own capacity (usually d; one deeper in
+    // the adversarial no-duplicates case). A cascade's output always fits.
+    while (real_cap(target) < job.out.size()) ++target;
+    install(job, target, kAppend);
+  }
+
+  /// Finish `job` on the writer thread, running it here first when
+  /// `run_here` (no pool worker ran it). A failed run is retried once here,
+  /// serially, so a failure on the pool — or in a sub-merge the pool ran —
+  /// never reaches the caller; a failure of the retry is rethrown with the
+  /// fold's sources untouched (still in their levels, or still pinned by
+  /// the pending job).
+  void finish_on_writer(compact::FoldJob<K, V>& job, bool run_here) {
+    if (run_here) job.run();
+    if (!job.failed()) return;
+    job.ways = 1;
+    job.run();
+    if (job.failed()) std::rethrow_exception(job.error);
   }
 
   // -- background compaction --------------------------------------------------
   //
-  // One pending fold per structure. The writer snapshots the fold's input
-  // segment refs (immutable, ref-counted), clears the source levels, and
-  // enqueues a FoldJob on the process pool; every mutator entry polls for
-  // the finished job and installs its output segment at the recorded
-  // position — BELOW any run that arrived at the target level after the
-  // snapshot, so recency order is exactly what the synchronous fold would
-  // have produced. Structural mutation stays single-writer throughout: the
-  // job computes over its own buffers, the writer does every install.
+  // One pending fold per structure. fold() hands the job its pinned input
+  // segments (immutable, ref-counted), clears the source levels, and
+  // submits it to the process pool; every mutator entry polls for the
+  // finished job and installs its output segment at the recorded position
+  // — BELOW any run that arrived at the target level after the fold was
+  // deferred, so recency order is exactly what the inline fold would have
+  // produced. Structural mutation stays single-writer throughout: the job
+  // computes over its own buffers, the writer does every install.
 
-  /// Hand the cascade fold for target `t` (levels 0..t-1 + incoming_spans_)
-  /// to the background pool. Returns false when the caller must fold
-  /// inline: background disabled, another fold already in flight, or the
-  /// pool saturated (bounded compaction debt — writer-assist fallback).
-  bool try_defer_fold(std::size_t t) {
-    if (!bg_enabled_ || pending_active_) return false;
-    const bool drop = t >= deepest_nonempty() && levels_[t].real_count == 0;
-    return enqueue_fold(/*consumed_hi=*/t, /*provisional_target=*/t,
-                        /*forced=*/false, drop, /*include_incoming=*/true);
-  }
-
-  /// Forced-priority variant for retention-pressure bottom folds: consumes
-  /// levels 0..deepest, targets the shallowest level whose capacity holds
-  /// the pre-dedup mass (the fold may annihilate little), always strips.
-  bool try_defer_forced_fold() {
-    if (!bg_enabled_ || pending_active_) return false;
-    const std::size_t d = deepest_nonempty();
-    return enqueue_fold(/*consumed_hi=*/d + 1, /*provisional_target=*/d,
-                        /*forced=*/true, /*drop=*/true,
-                        /*include_incoming=*/false);
-  }
-
-  /// Snapshot inputs, reserve the output's identity/address, clear the
-  /// sources, submit. Returns false WITH THE STRUCTURE UNTOUCHED when the
-  /// pool rejects the job. `consumed_hi`: levels [0, consumed_hi) feed the
-  /// fold; `include_incoming` additionally materializes incoming_spans_
-  /// (which alias reusable scratch) into immutable segments the job owns.
-  bool enqueue_fold(std::size_t consumed_hi, std::size_t provisional_target,
-                    bool forced, bool drop, bool include_incoming) {
-    auto job = std::make_shared<compact::FoldJob<K, V>>();
-    job->drop_tombstones = drop;
-    job->mint_filter = cfg_.filters;
-    job->isa = isa_;
-    job->ways = cfg_.compaction_threads;
-    std::uint64_t total = 0;
-    for (std::size_t l = consumed_hi; l-- > 0;) {  // deeper level = older
-      const Level& lv = levels_[l];
-      if (lv.real_count == 0) continue;
-      for (const SegRef& s : lv.segs) job->inputs.push_back(s);
-      total += lv.real_count;
-    }
-    if (include_incoming) {
-      for (const kern::RunView<K, V>& s : incoming_spans_) {
-        if (s.n == 0) continue;
-        job->inputs.push_back(snap::make_segment<K, V>(
-            std::vector<K>(s.keys, s.keys + s.n),
-            std::vector<V>(s.vals, s.vals + s.n),
-            std::vector<std::uint8_t>(s.flags, s.flags + s.n),
-            /*id=*/0, /*base_addr=*/0, mutation_epoch_));
-        total += s.n;
+  /// Install point of the pending fold. Every mutator entry polls
+  /// (`block` false): a finished job lands now; a running or failed one
+  /// stays pending, inputs pinned — this never throws a job's failure. The
+  /// blocking points — drain_compaction, a cascade deeper than the pending
+  /// target, retention, checkpoint — pass `block`: claim the job back and
+  /// run it here if no worker picked it up yet (writer assist), else wait
+  /// for the worker, retry it here if it failed, then install. The debt
+  /// bound: the writer can never race more than one fold ahead of the
+  /// compactor.
+  void land_pending(bool block) {
+    if (!pend_job_) return;
+    compact::FoldJob<K, V>& job = *pend_job_;
+    if (block) {
+      const bool claimed = job.try_claim();
+      if (!claimed) job.wait_finished();
+      if (claimed || job.failed()) {
+        cstats_->writer_assists.fetch_add(1, std::memory_order_relaxed);
       }
+      finish_on_writer(job, claimed);
+    } else if (cfg_.unsafe_defer_install || !job.done()) {
+      return;
     }
-    if (total == 0) return false;
-    std::size_t target = provisional_target;
-    while (real_cap(target) < total) ++target;  // pre-dedup capacity bound
-    ensure_level(target);
-    std::uint64_t depth = 0;
-    if (!compact::Pool::instance().submit(
-            [job] {
-              if (job->try_claim()) job->run();
-            },
-            forced, &depth)) {
-      return false;
-    }
-    pend_job_ = std::move(job);
-    pending_active_ = true;
-    pend_target_ = target;
-    pend_consumed_hi_ = consumed_hi;
-    pend_total_in_ = total;
-    pend_forced_ = forced;
-    // Reserve the output segment's identity and logical address region on
-    // the writer thread — the job itself never touches dictionary state.
-    pend_seg_id_ = next_seg_id_++;
-    pend_base_addr_ = next_base_;
-    next_base_ += total * sizeof(TItem);
-    // Consumed spill ids for the install-time observer callback.
-    gather_spill_consumed(consumed_hi, pend_consumed_ids_);
-    for (std::size_t l = 0; l < consumed_hi; ++l) clear_level(levels_[l]);
-    // After the clear so a forced fold whose target sits INSIDE the
-    // consumed range records install position 0 (the fold is the oldest
-    // data the level will ever hold again).
-    pend_prior_segs_ = levels_[target].segs.size();
-    if (drop) bottom_relocated_ = false;
-    cstats_->folds_deferred.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t peak = cstats_->queue_peak.load(std::memory_order_relaxed);
-    while (depth > peak && !cstats_->queue_peak.compare_exchange_weak(
-                               peak, depth, std::memory_order_relaxed)) {
-    }
-    return true;
-  }
-
-  /// Opportunistic install point at every mutator entry: when the fold has
-  /// finished, land its output now. Never blocks.
-  void poll_install() {
-    if (!pending_active_ || cfg_.unsafe_defer_install) return;
-    if (!pend_job_->done()) return;
-    install_pending();
-  }
-
-  /// Land the in-flight fold NOW: claim and run it on this thread if no
-  /// worker picked it up yet (writer assist), else wait for the worker —
-  /// then install. The one blocking point, and the debt bound: the writer
-  /// can never race more than one fold ahead of the compactor.
-  void assist_pending() {
-    if (!pending_active_) return;
-    if (pend_job_->try_claim()) {
-      pend_job_->run();
-      cstats_->writer_assists.fetch_add(1, std::memory_order_relaxed);
-    } else if (!pend_job_->done()) {
-      pend_job_->wait_done();
-    }
-    install_pending();
-  }
-
-  /// Land the finished fold's output (writer thread; job must be done).
-  /// The output segment splices in at the recorded install point — BELOW
-  /// every run that arrived after the enqueue snapshot, preserving recency
-  /// order — through the same install_segment the inline folds use (the
-  /// spill observer, and with it the durable tier's WAL barrier, thus runs
-  /// on the writer thread before any reader can see the segment). Dropping
-  /// the job releases the input refs: sources retire unless a snapshot
-  /// still pins them.
-  void install_pending() {
-    std::shared_ptr<compact::FoldJob<K, V>> job = std::move(pend_job_);
-    pending_active_ = false;
+    // Dropping the job after the install releases the input refs: sources
+    // retire unless a snapshot still pins them.
+    const std::shared_ptr<compact::FoldJob<K, V>> held = std::move(pend_job_);
     ++mutation_epoch_;
-    cstats_->bg_fold_ns.fetch_add(job->fold_ns, std::memory_order_relaxed);
-    kern::RunBuf<K, V>& out = job->out;
-    // Stats mirror of the synchronous fold path.
-    stats_.duplicates_dropped +=
-        pend_total_in_ - (out.size() + job->tombstones_dropped);
-    stats_.tombstones_dropped += job->tombstones_dropped;
-    last_collapse_final_dups_ = job->final_dups;
-    // nullptr when the fold annihilated to nothing (id reserved at enqueue).
-    SegRef seg = snap::make_segment_prefiltered(
-        std::move(out.keys), std::move(out.vals), std::move(out.flags),
-        std::move(job->filter_words), pend_seg_id_, pend_base_addr_,
-        mutation_epoch_);
-    const std::size_t n_segs = levels_[pend_target_].segs.size();
-    const std::size_t pos = cfg_.unsafe_break_install_order
-                                ? n_segs
-                                : std::min(pend_prior_segs_, n_segs);
-    install_segment(pend_target_, pos, std::move(seg), pend_consumed_ids_,
-                    pend_forced_ ? 0 : job->final_dups);
+    cstats_->bg_fold_ns.fetch_add(held->fold_ns, std::memory_order_relaxed);
+    install(*held, pend_target_,
+            cfg_.unsafe_break_install_order ? kAppend : pend_prior_segs_);
   }
 
   /// Push level l's segments newest -> oldest (the snapshot/view priority
@@ -1849,7 +1843,7 @@ class Gcola {
   /// will freeze, so reads are coherent mid-flight without any barrier.
   void push_level_segs(std::size_t l, std::vector<SegRef>& out) const {
     const Level& lv = levels_[l];
-    if (pending_active_ && l == pend_target_) {
+    if (pend_job_ && l == pend_target_) {
       const std::size_t prior = std::min(pend_prior_segs_, lv.segs.size());
       for (std::size_t j = lv.segs.size(); j-- > prior;) {
         out.push_back(lv.segs[j]);
@@ -1867,7 +1861,7 @@ class Gcola {
   /// append or cascade as a batch (no sort, no batch-merge count).
   void put(const K& key, const V& value, bool tombstone) {
     ++mutation_epoch_;
-    poll_install();
+    land_pending(/*block=*/false);
     const TItem item{key, value, tombstone ? kFlagTombstone : 0u};
     if (cfg_.staging_capacity > 0) {
       stage_append(&item, &item + 1, 1);
@@ -1905,237 +1899,50 @@ class Gcola {
   std::size_t deepest_nonempty() const noexcept {
     for (std::size_t l = levels_.size(); l-- > 0;) {
       if (levels_[l].real_count > 0) {
-        return pending_active_ ? std::max(l, pend_target_) : l;
+        return pend_job_ ? std::max(l, pend_target_) : l;
       }
     }
-    return pending_active_ ? pend_target_ : 0;
+    return pend_job_ ? pend_target_ : 0;
   }
 
-  /// Tiered cascade: gather the segments of levels 0..t-1 plus the incoming
-  /// spans as a run list ordered oldest -> newest (the incoming spans,
-  /// already ordered oldest -> newest by the caller, are newest of all),
-  /// collapse it newest-wins, clear the sources, and APPEND the result as a
-  /// new segment of level t — the level's existing segments are untouched,
-  /// which is the whole point: an element is written once per level it
-  /// passes, not once per merge the level receives.
-  void cascade_into_tiered(std::size_t t) {
-    std::size_t total = gather_level_spans(t);
-    for (const kern::RunView<K, V>& s : incoming_spans_) {
-      fold_spans_.push_back(s);
-      total += s.n;
-    }
-    // Never drop while a background fold targets this level: its output is
-    // OLDER than this cascade's data and installs below it, so older copies
-    // can still resurface (deepest_nonempty already counts the pending
-    // target; the explicit clause covers t == pend_target_ itself).
-    const bool drop_tombstones =
-        t >= deepest_nonempty() && levels_[t].real_count == 0 &&
-        !(pending_active_ && pend_target_ == t);
-    // This fold IS a bottom compaction: the next deepest-level drain may
-    // take the trivial move again.
-    if (drop_tombstones) bottom_relocated_ = false;
-    collapse_fold_spans(total);
-    gather_spill_consumed(t, spill_consumed_);
-    // Sources are cleared only after the fold — the spans read from them.
-    for (std::size_t l = 0; l < t; ++l) clear_level(levels_[l]);
-    stats_.duplicates_dropped += total - tfold_buf_.size();
-    // A tombstone can be discarded only when no older copy of its key can
-    // exist anywhere — deepest level AND no older segments in the target.
-    if (drop_tombstones) strip_tombstones(tfold_buf_);
-    install_fold_output(t, last_collapse_final_dups_);
-  }
-
-  /// Gather the segments of levels [0, hi) into fold_spans_, ordered
-  /// oldest -> newest (deeper level = older; within a level the first
-  /// segment is oldest), charging one streaming read of each. Returns the
-  /// element total.
-  std::size_t gather_level_spans(std::size_t hi) {
-    fold_spans_.clear();
-    std::size_t total = 0;
-    for (std::size_t l = hi; l-- > 0;) {
-      const Level& lv = levels_[l];
-      if (lv.real_count == 0) continue;
-      for (const SegRef& seg : lv.segs) {
-        mm_.touch(seg->base_addr, seg->size() * sizeof(TItem));
-        fold_spans_.push_back(kern::RunView<K, V>{
-            seg->keys.data(), seg->vals.data(), seg->flags.data(), seg->size()});
-      }
-      total += lv.real_count;
-    }
-    return total;
-  }
-
-  /// Collapse fold_spans_ (sorted runs ordered oldest -> newest, `total`
-  /// elements in all) into one sorted newest-wins run in tfold_buf_. A
-  /// single span copies straight through; past the cache cutoff the one-pass
-  /// loser-tree k-way merge reads and writes each element exactly once (the
-  /// pairwise rounds would stream the whole fold through DRAM log2(#spans)
-  /// times); in cache, balanced pairwise rounds — round zero merges adjacent
-  /// span pairs straight from their source locations, so the gather pass and
-  /// the first merge round are the same pass. Shared by the cascade fold and
-  /// the tombstone-pressure bottom compaction.
-  void collapse_fold_spans(std::size_t total) {
-    const std::vector<kern::RunView<K, V>>& spans = fold_spans_;
-    if (spans.size() == 1) {
-      tfold_buf_.assign(spans[0]);
-      last_collapse_final_dups_ = 0;
-      return;
-    }
-    if (total >= kKwayCutoff) {
-      kway_merge_spans(spans, total, tfold_buf_);
-      return;
-    }
-    kern::RunBuf<K, V>& buf = tfold_buf_;
-    std::vector<std::uint32_t>& runs = fold_runs_;
-    buf.resize(total);
-    runs.clear();
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < spans.size(); i += 2) {
-      runs.push_back(static_cast<std::uint32_t>(w));
-      if (i + 1 >= spans.size()) {  // odd span out: carry over
-        std::copy_n(spans[i].keys, spans[i].n, buf.keys.data() + w);
-        std::copy_n(spans[i].vals, spans[i].n, buf.vals.data() + w);
-        std::copy_n(spans[i].flags, spans[i].n, buf.flags.data() + w);
-        w += spans[i].n;
-        break;
-      }
-      w += kern::merge_pair_newest_wins(
-          spans[i].keys, spans[i].vals, spans[i].flags, spans[i].n,
-          spans[i + 1].keys, spans[i + 1].vals, spans[i + 1].flags,
-          spans[i + 1].n, buf.keys.data() + w, buf.vals.data() + w,
-          buf.flags.data() + w, isa_);
-    }
-    buf.resize(w);
-    // Two spans: the gather round above WAS the final round.
-    if (spans.size() <= 2) last_collapse_final_dups_ = total - w;
-    kern::collapse_runs(buf, runs, tfold_tmp_, fold_runs_scratch_, isa_,
-                        &last_collapse_final_dups_);
-  }
-
-  // Fold totals at or above this run through the one-pass k-way merge
-  // instead of pairwise rounds (elements, ~1.5 MiB of TItems: past L2).
-  static constexpr std::size_t kKwayCutoff = std::size_t{1} << 16;
-
-  /// One-pass k-way merge of the sorted source spans (ordered oldest ->
-  /// newest) into `out`, newest-wins on duplicate keys. A loser tree with
-  /// KEYS CACHED in the internal nodes: each emitted element costs one
-  /// source deref plus log2(#spans) compares on in-cache key copies — no
-  /// pointer chasing on the replay path, which is what makes the big
-  /// DRAM-resident drains bandwidth-bound instead of latency-bound. Ties
-  /// order the NEWER (higher-index) span first, so duplicates of a key pop
-  /// newest-first and dedup is a last-emitted-key compare.
-  void kway_merge_spans(const std::vector<kern::RunView<K, V>>& spans,
-                        std::size_t total, kern::RunBuf<K, V>& out) {
-    out.resize(total);
-    const std::size_t ns = spans.size();
-    kway_pos_.assign(ns, 0);
-    std::size_t tsize = 1;
-    while (tsize < ns) tsize <<= 1;
-    // x beats y when it must pop first: alive, and smaller key — or the
-    // same key from a newer span.
-    const auto beats = [](bool xa, const K& xk, std::uint32_t xi, bool ya,
-                          const K& yk, std::uint32_t yi) {
-      if (!xa) return false;
-      if (!ya) return true;
-      if (xk < yk) return true;
-      if (yk < xk) return false;
-      return xi > yi;
-    };
-    // Bottom-up init: winner arrays over 2*tsize nodes; internal node n
-    // keeps its match's LOSER cached in loser_*_[n].
-    wkey_.assign(2 * tsize, K{});
-    widx_.assign(2 * tsize, 0);
-    walive_.assign(2 * tsize, 0);
-    loser_key_.assign(tsize, K{});
-    loser_idx_.assign(tsize, 0);
-    loser_alive_.assign(tsize, 0);
-    for (std::size_t i = 0; i < ns; ++i) {
-      if (spans[i].n == 0) continue;
-      wkey_[tsize + i] = spans[i].keys[0];
-      widx_[tsize + i] = static_cast<std::uint32_t>(i);
-      walive_[tsize + i] = 1;
-    }
-    for (std::size_t n2 = tsize; n2-- > 1;) {
-      const std::size_t a = 2 * n2, b = 2 * n2 + 1;
-      const bool bwins =
-          beats(walive_[b] != 0, wkey_[b], widx_[b], walive_[a] != 0, wkey_[a], widx_[a]);
-      const std::size_t win = bwins ? b : a, lose = bwins ? a : b;
-      wkey_[n2] = wkey_[win];
-      widx_[n2] = widx_[win];
-      walive_[n2] = walive_[win];
-      loser_key_[n2] = wkey_[lose];
-      loser_idx_[n2] = widx_[lose];
-      loser_alive_[n2] = walive_[lose];
-    }
-    bool wa = walive_[1] != 0;
-    std::uint32_t wi = widx_[1];
-    K* wk = out.keys.data();
-    V* wv = out.vals.data();
-    std::uint8_t* wf = out.flags.data();
-    std::size_t w = 0;
-    // Distinct duplicated keys (a key's drops count once) — the staleness
-    // estimator's input; copies of one key pop adjacently here.
-    std::uint64_t distinct_dups = 0;
-    bool cur_key_dropped = false;
-    while (wa) {
-      const std::size_t p = kway_pos_[wi];
-      const K& k = spans[wi].keys[p];
-      if (w == 0 || wk[w - 1] < k) {
-        wk[w] = k;
-        wv[w] = spans[wi].vals[p];
-        wf[w] = spans[wi].flags[p];
-        ++w;
-        cur_key_dropped = false;
-      } else {  // older duplicate of the key just emitted — dropped
-        if (!cur_key_dropped) {
-          ++distinct_dups;
-          cur_key_dropped = true;
-        }
-      }
-      ++kway_pos_[wi];
-      // Replay the path from this leaf: the new head (or "drained") plays
-      // each cached loser on the way to the root.
-      bool ca = kway_pos_[wi] != spans[wi].n;
-      K ck = ca ? spans[wi].keys[kway_pos_[wi]] : K{};
-      std::uint32_t ci = wi;
-      for (std::size_t n2 = (tsize + wi) >> 1; n2 >= 1; n2 >>= 1) {
-        if (beats(loser_alive_[n2] != 0, loser_key_[n2], loser_idx_[n2], ca, ck, ci)) {
-          std::swap(ck, loser_key_[n2]);
-          std::swap(ci, loser_idx_[n2]);
-          const bool t = ca;
-          ca = loser_alive_[n2] != 0;
-          loser_alive_[n2] = t ? 1 : 0;
-        }
-      }
-      wa = ca;
-      wi = ci;
-    }
-    out.resize(w);
-    last_collapse_final_dups_ = distinct_dups;
-  }
-
-  /// Mint an inline fold's output (tfold_buf_) as level l's newest
-  /// segment — one sequential write, no rewrite of the level's existing
-  /// segments — and install it; an empty output installs nothing but is
-  /// still reported.
-  void install_fold_output(std::size_t l, std::uint64_t stale_est) {
+  /// The one fold install, inline or deferred: mint the job's output as a
+  /// segment — its id and logical address are minted here, on the writer —
+  /// and splice it into level l at index min(pos, #segments) (segments
+  /// below pos predate the fold; kAppend lands it newest). An empty output
+  /// installs nothing but is still reported.
+  void install(compact::FoldJob<K, V>& job, std::size_t l, std::size_t pos) {
+    kern::RunBuf<K, V>& out = job.out;
+    stats_.duplicates_dropped += job.total - (out.size() + job.tombstones_dropped);
+    stats_.tombstones_dropped += job.tombstones_dropped;
     SegRef seg;
-    std::size_t pos = 0;
-    if (!tfold_buf_.empty()) {
+    if (!out.empty()) {
       ensure_level(l);
-      pos = levels_[l].segs.size();
-      seg = new_segment(std::vector<K>(tfold_buf_.keys), std::vector<V>(tfold_buf_.vals),
-                        std::vector<std::uint8_t>(tfold_buf_.flags));
-      mm_.touch_write(seg->base_addr, seg->size() * sizeof(TItem));
+      pos = std::min(pos, levels_[l].segs.size());
+      const std::uint64_t base = next_base_;
+      next_base_ += out.size() * sizeof(TItem);
+      // The writer's own job keeps its planes as scratch for the next fold,
+      // so its segment gets an exact-size copy; a pool job is single-use
+      // and hands its planes over.
+      const bool keep = &job == fold_job_.get();
+      const auto planes = [keep](auto& v) {
+        return keep ? std::decay_t<decltype(v)>(v) : std::move(v);
+      };
+      seg = snap::make_segment(planes(out.keys), planes(out.vals),
+                               planes(out.flags), next_seg_id_++, base,
+                               mutation_epoch_, /*with_filter=*/false,
+                               std::move(job.filter_words));
+      mm_.touch_write(base, seg->size() * sizeof(TItem));
     }
-    install_segment(l, pos, std::move(seg), spill_consumed_, stale_est);
+    // A full fold leaves nothing older than its output in its target or
+    // below, so its duplicate sample credits no staleness.
+    install_segment(l, pos, std::move(seg), job.consumed, job.final_dups);
   }
 
-  /// The one install path for a fold's output, inline or background: splice
-  /// `seg` into level l at index `pos` (segments below pos predate the
-  /// fold), report it — nullptr for a fold that annihilated to nothing — to
-  /// the spill observer with the `consumed` ids (cleared here), and credit
-  /// the fold's measured duplicate count `stale_est` as staleness.
+  /// install()'s structural half: splice `seg` into level l at index
+  /// `pos` (segments below pos predate the fold), report it — nullptr for
+  /// a fold that annihilated to nothing — to the spill observer with the
+  /// `consumed` ids (cleared here), and credit the fold's measured
+  /// duplicate count `stale_est` as staleness.
   void install_segment(std::size_t l, std::size_t pos, SegRef seg,
                        std::vector<std::uint64_t>& consumed, std::uint64_t stale_est) {
     const Seg* s = seg.get();
@@ -2266,28 +2073,11 @@ class Gcola {
     for (std::size_t l = t; l-- > 1;) rebuild_lookahead(l);
   }
 
-  /// Drop tombstones from `run` in place (used when merging into the deepest
-  /// data so no older copy can resurface).
-  void strip_tombstones(kern::RunBuf<K, V>& run) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < run.size(); ++r) {
-      if ((run.flags[r] & kFlagTombstone) != 0) {
-        ++stats_.tombstones_dropped;
-        continue;
-      }
-      run.keys[w] = run.keys[r];
-      run.vals[w] = run.vals[r];
-      run.flags[w] = run.flags[r];
-      ++w;
-    }
-    run.resize(w);
-  }
-
   /// Write `incoming` (plane form) immediately left of the target's
   /// occupied region.
   void prepend_into(std::size_t t, kern::RunBuf<K, V>& incoming,
                     bool drop_tombstones) {
-    if (drop_tombstones) strip_tombstones(incoming);
+    if (drop_tombstones) stats_.tombstones_dropped += kern::strip_tombstones(incoming);
     ++stats_.prepend_merges;
     Level& lv = levels_[t];
     const std::uint32_t new_begin =
@@ -2474,19 +2264,15 @@ class Gcola {
   // Mutable: minting happens inside const snapshot().
   mutable std::vector<snap::SegmentRef<K, V>> stage_run_segs_;
   // Tiered cascade scratch: incoming run spans (prepared by callers of
-  // cascade_run_tiered), gathered source spans, run boundaries, fold
-  // buffers, and the normalized unstaged run (both geometries).
-  std::vector<kern::RunView<K, V>> incoming_spans_, fold_spans_;
-  std::vector<std::uint32_t> fold_runs_, fold_runs_scratch_;
-  kern::RunBuf<K, V> tfold_buf_, tfold_tmp_, titem_run_;
-  // Distinct duplicated keys observed by the most recent collapse's final
-  // merge round — the staleness estimator's measured input.
-  std::uint64_t last_collapse_final_dups_ = 0;
-  // k-way merge state (per-span positions + loser-tree node caches).
-  std::vector<std::size_t> kway_pos_;
-  std::vector<K> wkey_, loser_key_;
-  std::vector<std::uint32_t> widx_, loser_idx_;
-  std::vector<std::uint8_t> walive_, loser_alive_;
+  // cascade_run_tiered), the staging merge scratch, and the normalized
+  // unstaged run (both geometries).
+  std::vector<kern::RunView<K, V>> incoming_spans_;
+  kern::RunBuf<K, V> tfold_tmp_, titem_run_;
+  // The writer's own fold job: every fold run on this thread that is not
+  // a claimed-back pool job. Its spans, output planes, and kernel scratch
+  // persist across folds (held by pointer: the job is not movable).
+  std::unique_ptr<compact::FoldJob<K, V>> fold_job_ =
+      std::make_unique<compact::FoldJob<K, V>>();
   // insert_batch normalization scratch (Entry-sized: the narrowest form).
   std::vector<Entry<K, V>> entry_batch_, entry_batch_scratch_;
   // Mixed-op batch normalization scratch (TItem-sized: tombstone flags ride
@@ -2498,12 +2284,10 @@ class Gcola {
   // unmerged, cleared by the next true bottom fold (see cascade_run_tiered).
   bool bottom_relocated_ = false;
   // Durable-tier spill hooks: segment identity counter, the attached
-  // observer (nullptr = memory-only), the depth at which folds report, and
-  // the inline fold's consumed-id list.
+  // observer (nullptr = memory-only), and the depth at which folds report.
   std::uint64_t next_seg_id_ = 1;
   FoldObserver* fold_observer_ = nullptr;
   std::size_t spill_depth_ = 0;
-  std::vector<std::uint64_t> spill_consumed_;
   // Snapshot cache: snapshot() is a refcount bump while the dictionary is
   // unmutated (snap_epoch_ == mutation_epoch_); the first acquisition after
   // a mutation rebuilds. snap_level_copy_ is the classic copy-on-snapshot
@@ -2538,21 +2322,14 @@ class Gcola {
   // Resolved at construction: tiered + compaction_threads > 0 + null
   // memory model + no COSTREAM_COMPACTION=sync override.
   bool bg_enabled_ = false;
-  // The single pending-fold slot. pend_target_ is the install level,
-  // pend_prior_segs_ the install index (segments below it predate the
-  // fold), pend_consumed_hi_ the exclusive top of the consumed level
-  // range, pend_total_in_ the PRE-dedup input mass (capacity accounting
-  // and item_count both need the physically-present figure).
-  bool pending_active_ = false;
+  // The single pending-fold slot (empty: no fold in flight). pend_target_
+  // is the install level, pend_prior_segs_ the install index (segments
+  // below it predate the fold); the job's `total` is the PRE-dedup input
+  // mass (capacity accounting and item_count both need the
+  // physically-present figure).
   std::shared_ptr<compact::FoldJob<K, V>> pend_job_;
   std::size_t pend_target_ = 0;
   std::size_t pend_prior_segs_ = 0;
-  std::size_t pend_consumed_hi_ = 0;
-  std::uint64_t pend_total_in_ = 0;
-  std::uint64_t pend_seg_id_ = 0;
-  std::uint64_t pend_base_addr_ = 0;
-  bool pend_forced_ = false;
-  std::vector<std::uint64_t> pend_consumed_ids_;
   std::shared_ptr<AtomicCompactionStats> cstats_ =
       std::make_shared<AtomicCompactionStats>();
 };

@@ -1,19 +1,28 @@
-// Background compaction engine: the process-shared executor that takes
-// tiered fold work off the mutating thread (cola.hpp enqueues, installs,
-// and keeps every STRUCTURAL mutation on the writer thread — the executor
-// only ever computes over immutable inputs).
+// The tiered fold engine: the one fold job every tiered fold runs, and the
+// process-shared executor that takes jobs off the mutating thread
+// (cola.hpp gathers, decides, and installs, and keeps every STRUCTURAL
+// mutation on the writer thread — a job only ever computes over immutable
+// inputs).
 //
-// Division of labor. A FoldJob is a pure function over ref-counted
-// immutable segments (snap::Segment): the writer snapshots the fold's
-// input segment refs and enqueues; the job runs the same plane-kernel
-// newest-wins collapse the synchronous path uses (cola/kernels.hpp),
-// strips tombstones when the fold lands past all older data, and mints
-// the output's Bloom filter — all without touching the owning Gcola. The
-// writer installs the finished planes as a new segment at its next
-// mutation (an atomic-with-respect-to-readers segment-set swap + epoch
-// bump), so single-writer discipline is preserved end to end and the
-// durable tier's WAL-synced-before-install invariant holds for free: the
-// spill observer still fires on the writer thread, inside a mutator.
+// One job, two places to run it. A FoldJob is a pure function over sorted
+// input spans: the one serial kernel (kern::collapse_spans, once per range
+// partition), the tombstone strip when the fold lands past all older
+// data, and the output's Bloom filter — all without touching the owning
+// Gcola. An inline fold is that job run on the writer thread over spans
+// that alias the live segments and the incoming run (nothing copied,
+// writer-owned scratch reused); a deferred fold is the same job with its
+// input segments pinned by refcount, run by a pool worker. Either way the
+// writer installs the finished planes as a new segment — a deferred one at
+// its next mutation (an atomic-with-respect-to-readers segment-set swap +
+// epoch bump) — so single-writer discipline is preserved end to end and
+// the durable tier's WAL-synced-before-install invariant holds for free:
+// the spill observer always fires on the writer thread, inside a mutator.
+//
+// Failures stay on the job. A job that throws (allocation, a throwing key
+// compare, a failed sub-merge) records the failure and stays pending with
+// its inputs pinned, so reads stay coherent; the writer re-runs it inline
+// at its next blocking install point, and only a failure there reaches
+// the mutator's caller.
 //
 // Intra-fold parallelism. Large folds are cut at key pivots (taken from
 // the largest input run) into independent sub-ranges: every input span is
@@ -45,6 +54,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -106,7 +116,9 @@ class Pool {
   /// folds) jump the queue and ignore the bound: there is at most one
   /// in-flight fold per structure, so forced depth is bounded by the
   /// number of live structures. `depth_out`, when non-null, receives the
-  /// queue depth right after the push (per-structure peak tracking).
+  /// queue depth right after the push (per-structure peak tracking). `fn`
+  /// must not throw — workers run it bare; FoldJob::run and the batch
+  /// helpers record their failures instead.
   bool submit(std::function<void()> fn, bool forced,
               std::uint64_t* depth_out) {
     {
@@ -128,7 +140,10 @@ class Pool {
   /// Run `tasks` to completion using idle workers AND the calling thread:
   /// the caller claims unclaimed tasks itself, so this completes even when
   /// every worker is busy (including when the caller IS a worker running a
-  /// fold that fans out sub-merges — nested use cannot deadlock).
+  /// fold that fans out sub-merges — nested use cannot deadlock). A task
+  /// that throws still counts as finished; once every task has finished,
+  /// the first exception is rethrown here, on the caller — never on a
+  /// worker, and never while a helper may still read `tasks`.
   void run_batch(std::vector<std::function<void()>>& tasks) {
     const std::size_t n = tasks.size();
     if (n == 0) return;
@@ -153,6 +168,7 @@ class Pool {
     if (helpers > 0) cv_.notify_all();
     batch->drain();
     batch->wait();
+    if (batch->error) std::rethrow_exception(batch->error);
   }
 
   /// High-water queue depth since process start (observability).
@@ -171,10 +187,16 @@ class Pool {
     std::atomic<std::size_t> done{0};
     std::mutex m;
     std::condition_variable cv;
+    std::exception_ptr error;  // first task failure; written under m
 
-    void drain() {
+    void drain() noexcept {
       for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
-        (*tasks)[i]();
+        try {
+          (*tasks)[i]();
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(m);
+          if (!error) error = std::current_exception();
+        }
         if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
           std::lock_guard<std::mutex> lk(m);
           cv.notify_all();
@@ -211,145 +233,78 @@ class Pool {
   std::uint64_t queue_peak_ = 0;
 };
 
-namespace detail {
-
-/// Serial newest-wins collapse of sorted spans (ordered oldest -> newest)
-/// into `out` — the same gather-then-pairwise-rounds shape the synchronous
-/// fold uses in cache, with caller-owned scratch so concurrent sub-merges
-/// never share buffers. `final_dups` receives the final round's drop count
-/// (the distinct-duplicated-keys sample the staleness estimator consumes).
-template <class K, class V>
-void collapse_spans_serial(const std::vector<kern::RunView<K, V>>& spans,
-                           std::size_t total, simd::Isa isa,
-                           kern::RunBuf<K, V>& out, kern::RunBuf<K, V>& tmp,
-                           std::vector<std::uint32_t>& runs,
-                           std::vector<std::uint32_t>& runs_scratch,
-                           std::uint64_t* final_dups) {
-  if (final_dups != nullptr) *final_dups = 0;
-  if (spans.empty()) {
-    out.clear();
-    return;
-  }
-  if (spans.size() == 1) {
-    out.assign(spans[0]);
-    return;
-  }
-  out.resize(total);
-  runs.clear();
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < spans.size(); i += 2) {
-    runs.push_back(static_cast<std::uint32_t>(w));
-    if (i + 1 >= spans.size()) {  // odd span out: carry over
-      std::copy_n(spans[i].keys, spans[i].n, out.keys.data() + w);
-      std::copy_n(spans[i].vals, spans[i].n, out.vals.data() + w);
-      std::copy_n(spans[i].flags, spans[i].n, out.flags.data() + w);
-      w += spans[i].n;
-      break;
-    }
-    w += kern::merge_pair_newest_wins(
-        spans[i].keys, spans[i].vals, spans[i].flags, spans[i].n,
-        spans[i + 1].keys, spans[i + 1].vals, spans[i + 1].flags,
-        spans[i + 1].n, out.keys.data() + w, out.vals.data() + w,
-        out.flags.data() + w, isa);
-  }
-  out.resize(w);
-  if (spans.size() <= 2 && final_dups != nullptr) *final_dups = total - w;
-  kern::collapse_runs(out, runs, tmp, runs_scratch, isa, final_dups);
-}
-
-}  // namespace detail
-
-// Folds at least this large consider the range-partitioned parallel merge
-// (elements; below it the partition bookkeeping costs more than it buys).
-inline constexpr std::size_t kParallelFoldCutoff = std::size_t{1} << 16;
-
-/// Newest-wins k-way fold of `spans` (ordered oldest -> newest, `total`
-/// elements in all) into `out`. When `ways > 1` and the fold is large, the
-/// key range is cut at pivots drawn from the largest span into up to
+/// Newest-wins fold of `spans` (ordered oldest -> newest, `total`
+/// elements in all) into `out`: kern::collapse_spans, once per range
+/// partition. When `ways > 1` and the fold reaches kern::kOnePassCutoff,
+/// the key range is cut at pivots drawn from the largest span into up to
 /// `ways` disjoint sub-ranges — every span split at the same pivots by
 /// lower_bound, so all copies of a key share a sub-range and per-range
 /// span order (and therefore the newest-wins tie-break) is untouched —
 /// merged independently on the pool, and the output planes stitched back
-/// in key order. `final_dups` sums the sub-merges' distinct-duplicate
-/// samples (keys never straddle a cut, so the sum is the same statistic
-/// the serial fold reports).
+/// in key order. `final_dups` sums the sub-merges' duplicate samples (keys
+/// never straddle a cut).
 template <class K, class V>
 void fold_spans(const std::vector<kern::RunView<K, V>>& spans,
                 std::size_t total, unsigned ways, simd::Isa isa,
-                kern::RunBuf<K, V>& out, std::uint64_t* final_dups) {
-  kern::RunBuf<K, V> tmp;
-  std::vector<std::uint32_t> runs, runs_scratch;
-  if (ways <= 1 || total < kParallelFoldCutoff || spans.size() < 2) {
-    detail::collapse_spans_serial(spans, total, isa, out, tmp, runs,
-                                  runs_scratch, final_dups);
-    return;
-  }
+                kern::RunBuf<K, V>& out, kern::CollapseScratch<K, V>& scratch,
+                std::uint64_t& final_dups) {
   // Pivots: evenly spaced keys of the largest span (the best single proxy
   // for the fold's key distribution). Equal pivots collapse, so skewed
   // inputs degrade to fewer, larger sub-ranges — never to wrong ones.
-  std::size_t largest = 0;
-  for (std::size_t i = 1; i < spans.size(); ++i) {
-    if (spans[i].n > spans[largest].n) largest = i;
-  }
   std::vector<K> pivots;
-  for (unsigned p = 1; p < ways; ++p) {
-    const K& k = spans[largest].keys[spans[largest].n * p / ways];
-    if (pivots.empty() || pivots.back() < k) pivots.push_back(k);
+  if (ways > 1 && total >= kern::kOnePassCutoff && spans.size() >= 2) {
+    std::size_t largest = 0;
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+      if (spans[i].n > spans[largest].n) largest = i;
+    }
+    for (unsigned p = 1; p < ways; ++p) {
+      const K& k = spans[largest].keys[spans[largest].n * p / ways];
+      if (pivots.empty() || pivots.back() < k) pivots.push_back(k);
+    }
   }
   if (pivots.empty()) {
-    detail::collapse_spans_serial(spans, total, isa, out, tmp, runs,
-                                  runs_scratch, final_dups);
+    kern::collapse_spans(spans, total, isa, out, scratch, final_dups);
     return;
   }
   const std::size_t parts = pivots.size() + 1;
-  // cuts[s][p]: first index of span s belonging to part p (cuts[s][0] = 0,
-  // cuts[s][parts] = n). lower_bound at each pivot sends every copy of the
-  // pivot key right, uniformly across spans.
-  std::vector<std::vector<std::size_t>> cuts(spans.size());
-  for (std::size_t s = 0; s < spans.size(); ++s) {
-    cuts[s].resize(parts + 1);
-    cuts[s][0] = 0;
-    cuts[s][parts] = spans[s].n;
-    for (std::size_t p = 0; p < pivots.size(); ++p) {
-      cuts[s][p + 1] = static_cast<std::size_t>(
-          std::lower_bound(spans[s].keys, spans[s].keys + spans[s].n,
-                           pivots[p]) -
-          spans[s].keys);
-    }
-  }
   struct Part {
     std::vector<kern::RunView<K, V>> spans;
     std::size_t total = 0;
-    kern::RunBuf<K, V> out, tmp;
-    std::vector<std::uint32_t> runs, runs_scratch;
+    kern::RunBuf<K, V> out;
+    kern::CollapseScratch<K, V> scratch;
     std::uint64_t dups = 0;
   };
   std::vector<Part> part(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    for (std::size_t s = 0; s < spans.size(); ++s) {
-      const std::size_t b = cuts[s][p], e = cuts[s][p + 1];
-      if (b == e) continue;  // empty sub-span; order of the rest is kept
-      part[p].spans.push_back(kern::RunView<K, V>{
-          spans[s].keys + b, spans[s].vals + b, spans[s].flags + b, e - b});
-      part[p].total += e - b;
+  for (const kern::RunView<K, V>& sp : spans) {
+    // Cut b..e of this span belongs to part p; lower_bound at each pivot
+    // sends every copy of the pivot key right, uniformly across spans.
+    std::size_t b = 0;
+    for (std::size_t p = 0; p < parts; ++p) {
+      const K* cut = p + 1 < parts
+                         ? std::lower_bound(sp.keys, sp.keys + sp.n, pivots[p])
+                         : sp.keys + sp.n;
+      const std::size_t e = static_cast<std::size_t>(cut - sp.keys);
+      if (b != e) {  // empty sub-spans are skipped; order of the rest is kept
+        part[p].spans.push_back(kern::RunView<K, V>{sp.keys + b, sp.vals + b,
+                                                    sp.flags + b, e - b});
+        part[p].total += e - b;
+      }
+      b = e;
     }
   }
   std::vector<std::function<void()>> tasks;
   tasks.reserve(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    Part* pp = &part[p];
-    tasks.push_back([pp, isa] {
-      detail::collapse_spans_serial(pp->spans, pp->total, isa, pp->out,
-                                    pp->tmp, pp->runs, pp->runs_scratch,
-                                    &pp->dups);
+  for (Part& pp : part) {
+    tasks.push_back([&pp, isa] {
+      kern::collapse_spans(pp.spans, pp.total, isa, pp.out, pp.scratch, pp.dups);
     });
   }
   Pool::instance().run_batch(tasks);
   std::size_t w = 0;
-  std::uint64_t dups = 0;
+  final_dups = 0;
   for (const Part& pp : part) {
     w += pp.out.size();
-    dups += pp.dups;
+    final_dups += pp.dups;
   }
   out.resize(w);
   std::size_t at = 0;
@@ -359,68 +314,77 @@ void fold_spans(const std::vector<kern::RunView<K, V>>& spans,
     std::copy_n(pp.out.flags.data(), pp.out.size(), out.flags.data() + at);
     at += pp.out.size();
   }
-  if (final_dups != nullptr) *final_dups = dups;
 }
 
-/// One deferred fold: immutable inputs snapshotted by the writer, outputs
-/// owned by the job, and a tiny claimed/done state machine so a saturated
-/// or impatient writer can claim the job and run it inline (writer
-/// assist) without racing the pool worker. The job NEVER touches the
-/// owning structure: it reads ref-counted segments and writes only its
-/// own buffers, so it is safe regardless of what the writer does —
-/// including destroying the structure (the pool's shared_ptr keeps the
-/// job alive; its segment refs keep the inputs alive).
+/// One tiered fold — every fold a structure runs, inline or deferred: a
+/// pure function from sorted input spans to one output run and its Bloom
+/// filter that never touches the owning structure. The writer fills the
+/// inputs; run() executes wherever the job is run — on the writer itself
+/// (inline folds, writer assists, retries) or on a pool worker — and the
+/// writer installs the output. A deferred job pins what its spans read in
+/// `inputs`, so it stays valid whatever the writer does meanwhile,
+/// destroying the structure included (the pool's shared_ptr keeps the job
+/// alive). A claimed/finished state machine lets a saturated or impatient
+/// writer claim a queued job back (writer assist) without racing the
+/// pool worker.
 template <class K, class V>
 class FoldJob {
  public:
-  // -- writer-filled inputs (immutable once enqueued) --
-  std::vector<snap::SegmentRef<K, V>> inputs;  // oldest -> newest
+  // -- inputs, filled by the writer (immutable while the job runs) --
+  std::vector<kern::RunView<K, V>> spans;        // oldest -> newest
+  std::vector<snap::SegmentRef<K, V>> inputs;    // deferred: what spans read
+  std::uint64_t total = 0;                       // elements across spans
   bool drop_tombstones = false;
   bool mint_filter = false;
   simd::Isa isa = simd::Isa::kScalar;
   unsigned ways = 1;  // intra-fold sub-merge parallelism
+  // Writer bookkeeping run() never reads: spilled segment ids the fold
+  // consumes, reported to the spill observer at install.
+  std::vector<std::uint64_t> consumed;
 
-  // -- job-filled outputs (valid after done()) --
+  // -- outputs, valid once the job finished without failing --
   kern::RunBuf<K, V> out;
   std::vector<std::uint64_t> filter_words;
   std::uint64_t final_dups = 0;
   std::uint64_t tombstones_dropped = 0;
   std::uint64_t fold_ns = 0;
+  std::exception_ptr error;  // why the last run failed
 
   /// Exactly one runner wins the claim (pool worker vs assisting writer).
   bool try_claim() {
-    int expected = 0;
-    return state_.compare_exchange_strong(expected, 1,
+    int expected = kQueued;
+    return state_.compare_exchange_strong(expected, kRunning,
                                           std::memory_order_acq_rel);
   }
 
-  bool done() const {
-    return state_.load(std::memory_order_acquire) == 2;
+  bool done() const { return state_.load(std::memory_order_acquire) == kDone; }
+  bool failed() const {
+    return state_.load(std::memory_order_acquire) == kFailed;
   }
 
-  /// Block until the (already claimed, by someone) job completes.
-  void wait_done() {
+  /// Block until the (already claimed, by someone) run finishes.
+  void wait_finished() {
     std::unique_lock<std::mutex> lk(m_);
-    cv_.wait(lk, [&] { return state_.load(std::memory_order_acquire) == 2; });
+    cv_.wait(lk, [&] { return state_.load(std::memory_order_acquire) >= kDone; });
   }
 
-  /// Execute the fold. Caller must hold the claim.
-  void run() {
+  /// Execute the fold; never throws. A failure (allocation, a throwing
+  /// key compare, a failed sub-merge) is recorded in `error` and leaves
+  /// the job failed: its inputs are untouched and it may be run again.
+  void run() noexcept {
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<kern::RunView<K, V>> spans;
-    spans.reserve(inputs.size());
-    std::size_t total = 0;
-    for (const snap::SegmentRef<K, V>& seg : inputs) {
-      spans.push_back(kern::RunView<K, V>{seg->keys.data(), seg->vals.data(),
-                                          seg->flags.data(), seg->size()});
-      total += seg->size();
-    }
-    fold_spans(spans, total, ways, isa, out, &final_dups);
-    if (drop_tombstones) strip();
-    if constexpr (filt::filter_hashable_v<K>) {
-      if (mint_filter && !out.empty()) {
-        filter_words = filt::build_filter(out.keys.data(), out.keys.size());
+    error = nullptr;
+    try {
+      fold_spans(spans, total, ways, isa, out, scratch_, final_dups);
+      tombstones_dropped = drop_tombstones ? kern::strip_tombstones(out) : 0;
+      filter_words.clear();
+      if constexpr (filt::filter_hashable_v<K>) {
+        if (mint_filter && !out.empty()) {
+          filter_words = filt::build_filter(out.keys.data(), out.keys.size());
+        }
       }
+    } catch (...) {
+      error = std::current_exception();
     }
     fold_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -428,30 +392,16 @@ class FoldJob {
             .count());
     {
       std::lock_guard<std::mutex> lk(m_);
-      state_.store(2, std::memory_order_release);
+      state_.store(error ? kFailed : kDone, std::memory_order_release);
     }
     cv_.notify_all();
   }
 
  private:
-  void strip() {
-    constexpr std::uint8_t kTomb =
-        static_cast<std::uint8_t>(snap::Item<K, V>::kFlagTombstone);
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < out.size(); ++r) {
-      if ((out.flags[r] & kTomb) != 0) {
-        ++tombstones_dropped;
-        continue;
-      }
-      out.keys[w] = out.keys[r];
-      out.vals[w] = out.vals[r];
-      out.flags[w] = out.flags[r];
-      ++w;
-    }
-    out.resize(w);
-  }
+  enum : int { kQueued = 0, kRunning = 1, kDone = 2, kFailed = 3 };
 
-  std::atomic<int> state_{0};  // 0 queued, 1 claimed/running, 2 done
+  kern::CollapseScratch<K, V> scratch_;
+  std::atomic<int> state_{kQueued};
   std::mutex m_;
   std::condition_variable cv_;
 };

@@ -1,7 +1,8 @@
 // Data-parallel run kernels for the tiered COLA's structure-of-arrays
 // buffers: plane-form sorted runs (RunView/RunBuf), the newest-wins two-way
 // merge behind every pairwise fold round, the vectorized newest-wins dedup
-// behind batch normalization, and the balanced pairwise run collapse. The
+// behind batch normalization, the balanced pairwise run collapse, and the
+// one serial fold kernel (collapse_spans) every tiered fold runs. The
 // instruction-level primitives (prefix scans, lower bounds, runtime ISA
 // dispatch) live one layer down in common/simd.hpp; this header is the
 // run-shaped algebra cola.hpp composes folds from.
@@ -25,7 +26,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/loser_tree.hpp"
 #include "common/simd.hpp"
+#include "common/snapshot.hpp"
 
 namespace costream::cola::kern {
 
@@ -336,6 +339,117 @@ inline void collapse_runs(RunBuf<K, V>& buf,
   // not whichever round's stale offsets the ping-pong ended on.
   run_list.clear();
   if (!buf.empty()) run_list.push_back(0);
+}
+
+/// Folds of at least this many elements (~1.5 MiB of 24-byte items: past
+/// L2) take collapse_spans' one-pass merge instead of pairwise rounds, and
+/// are large enough to be worth range-partitioning across workers
+/// (compact::fold_spans).
+inline constexpr std::size_t kOnePassCutoff = std::size_t{1} << 16;
+
+/// collapse_spans' reusable scratch: the pairwise rounds' ping-pong buffer
+/// and run lists, and the one-pass merge's per-span positions and tree.
+template <class K, class V>
+struct CollapseScratch {
+  RunBuf<K, V> tmp;
+  std::vector<std::uint32_t> runs, runs_tmp;
+  std::vector<std::size_t> pos;
+  LoserTree<K> tree;
+};
+
+/// The serial fold kernel: newest-wins collapse of sorted, duplicate-free
+/// spans (ordered oldest -> newest, `total` elements in all) into `out`.
+/// A single span copies straight through. Below kOnePassCutoff, balanced
+/// pairwise rounds — round zero merges adjacent span pairs straight from
+/// their source locations, then collapse_runs. At or above it, one pass
+/// through a cached-key loser tree reads and writes each element once (the
+/// rounds would stream the whole fold through DRAM log2(#spans) times).
+///
+/// `final_dups` receives the staleness estimator's sample: the final
+/// pairwise round's drop count, or in the one-pass merge the number of
+/// DISTINCT keys that had an older copy dropped (copies of a key pop
+/// adjacently there, newest first).
+template <class K, class V>
+void collapse_spans(const std::vector<RunView<K, V>>& spans, std::size_t total,
+                    simd::Isa isa, RunBuf<K, V>& out, CollapseScratch<K, V>& s,
+                    std::uint64_t& final_dups) {
+  final_dups = 0;
+  if (spans.size() == 1) {
+    out.assign(spans[0]);
+    return;
+  }
+  out.resize(total);
+  K* ok = out.keys.data();
+  V* ov = out.vals.data();
+  std::uint8_t* of = out.flags.data();
+  std::size_t w = 0;
+  if (total >= kOnePassCutoff) {
+    // LoserTree lets the SMALLER source index win key ties; spans run
+    // oldest -> newest, so source i is span ns-1-i and the newest copy of a
+    // key pops first — every later copy of it is an older duplicate.
+    const std::size_t ns = spans.size();
+    s.pos.assign(ns, 0);
+    s.tree.reset(ns);
+    for (std::size_t i = 0; i < ns; ++i) {
+      if (!spans[ns - 1 - i].empty()) s.tree.declare(i, spans[ns - 1 - i].keys[0]);
+    }
+    s.tree.build();
+    bool key_dropped = false;
+    while (s.tree.top_alive()) {
+      const std::size_t src = s.tree.top();
+      const RunView<K, V>& sp = spans[ns - 1 - src];
+      std::size_t& p = s.pos[src];
+      if (w == 0 || ok[w - 1] < s.tree.top_key()) {
+        ok[w] = sp.keys[p];
+        ov[w] = sp.vals[p];
+        of[w] = sp.flags[p];
+        ++w;
+        key_dropped = false;
+      } else if (!key_dropped) {
+        ++final_dups;
+        key_dropped = true;
+      }
+      const bool alive = ++p < sp.n;
+      s.tree.replay(alive, sp.keys[alive ? p : p - 1]);
+    }
+    out.resize(w);
+    return;
+  }
+  s.runs.clear();
+  for (std::size_t i = 0; i < spans.size(); i += 2) {
+    s.runs.push_back(static_cast<std::uint32_t>(w));
+    const RunView<K, V>& a = spans[i];
+    if (i + 1 >= spans.size()) {  // odd span out: carry over
+      detail::copy_planes(a.keys, a.vals, a.flags, a.n, ok + w, ov + w, of + w);
+      w += a.n;
+      break;
+    }
+    const RunView<K, V>& b = spans[i + 1];
+    w += merge_pair_newest_wins(a.keys, a.vals, a.flags, a.n, b.keys, b.vals,
+                                b.flags, b.n, ok + w, ov + w, of + w, isa);
+  }
+  out.resize(w);
+  // Two spans: the gather round above WAS the final round.
+  if (spans.size() <= 2) final_dups = total - w;
+  collapse_runs(out, s.runs, s.tmp, s.runs_tmp, isa, &final_dups);
+}
+
+/// Drop tombstones from `run` in place (a fold landing past all older data:
+/// no older copy of the key can resurface). Returns the number dropped.
+template <class K, class V>
+std::size_t strip_tombstones(RunBuf<K, V>& run) {
+  constexpr std::uint8_t kTomb = snap::Item<K, V>::kFlagTombstone;
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < run.size(); ++r) {
+    if ((run.flags[r] & kTomb) != 0) continue;
+    run.keys[w] = run.keys[r];
+    run.vals[w] = run.vals[r];
+    run.flags[w] = run.flags[r];
+    ++w;
+  }
+  const std::size_t dropped = run.size() - w;
+  run.resize(w);
+  return dropped;
 }
 
 }  // namespace costream::cola::kern

@@ -124,50 +124,18 @@ struct Segment {
 template <class K = Key, class V = Value>
 using SegmentRef = std::shared_ptr<const Segment<K, V>>;
 
-/// Build a segment from sorted planes (fences and tombstone count derived;
-/// `with_filter` mints the per-segment Bloom filter — O(1) per element).
-/// Returns nullptr for an empty run — snapshots never hold empty segments.
+/// Build a segment from sorted planes (fences and tombstone count derived).
+/// The Bloom filter is `filter` when the producer minted one already (fold
+/// jobs mint off the writer thread), else minted here when `with_filter`
+/// is set — O(1) per element. Returns nullptr for an empty run — snapshots
+/// never hold empty segments.
 template <class K, class V>
 SegmentRef<K, V> make_segment(std::vector<K>&& keys, std::vector<V>&& vals,
                               std::vector<std::uint8_t>&& flags,
                               std::uint64_t id, std::uint64_t base_addr = 0,
                               std::uint64_t epoch = 0,
-                              bool with_filter = false) {
-  if (keys.empty()) return nullptr;
-  auto seg = std::make_shared<Segment<K, V>>();
-  seg->keys = std::move(keys);
-  seg->vals = std::move(vals);
-  seg->flags = std::move(flags);
-  seg->min_key = seg->keys.front();
-  seg->max_key = seg->keys.back();
-  std::uint32_t tombs = 0;
-  for (const std::uint8_t f : seg->flags) {
-    tombs += (f & Item<K, V>::kFlagTombstone) != 0 ? 1u : 0u;
-  }
-  seg->tombs = tombs;
-  seg->id = id;
-  seg->base_addr = base_addr;
-  seg->epoch = epoch;
-  if constexpr (filt::filter_hashable_v<K>) {
-    if (with_filter) {
-      seg->filter = filt::build_filter(seg->keys.data(), seg->keys.size());
-    }
-  }
-  return seg;
-}
-
-/// Variant taking a pre-minted Bloom filter: background compaction mints
-/// the filter inside the fold job (off the writer thread), so the install
-/// path must adopt it instead of re-scanning the keys. An empty `filter`
-/// installs no filter.
-template <class K, class V>
-SegmentRef<K, V> make_segment_prefiltered(std::vector<K>&& keys,
-                                          std::vector<V>&& vals,
-                                          std::vector<std::uint8_t>&& flags,
-                                          std::vector<std::uint64_t>&& filter,
-                                          std::uint64_t id,
-                                          std::uint64_t base_addr,
-                                          std::uint64_t epoch) {
+                              bool with_filter = false,
+                              std::vector<std::uint64_t>&& filter = {}) {
   if (keys.empty()) return nullptr;
   auto seg = std::make_shared<Segment<K, V>>();
   seg->keys = std::move(keys);
@@ -184,6 +152,11 @@ SegmentRef<K, V> make_segment_prefiltered(std::vector<K>&& keys,
   seg->base_addr = base_addr;
   seg->epoch = epoch;
   seg->filter = std::move(filter);
+  if constexpr (filt::filter_hashable_v<K>) {
+    if (with_filter && seg->filter.empty()) {
+      seg->filter = filt::build_filter(seg->keys.data(), seg->keys.size());
+    }
+  }
   return seg;
 }
 

@@ -6,28 +6,36 @@
 // engine's contracts directly:
 //
 //   * differential equivalence against the inline (sync) fold path,
-//   * deterministic writer-assist when the pool cannot take the job,
+//   * deterministic writer-assist when the pool cannot take the job, or
+//     refuses the submit,
 //   * snapshot storms across in-flight folds + the segment leak oracle,
 //   * forced tombstone folds as scheduled compactions,
 //   * CompactionStats counters and the preset/naming threading,
 //   * DAM bit-identity: counting models always fold inline, so modeled
 //     transfers are exactly equal with the engine on or off,
 //   * the COSTREAM_COMPACTION=sync escape hatch (each CI leg asserts the
-//     branch that matches its environment).
+//     branch that matches its environment),
+//   * failures: a task that throws inside run_batch, and folds that throw
+//     on the pool and re-run on the writer.
 //
 // NOTE on ordering: the process pool is grow-only, so the writer-assist
-// test (which wants exactly ONE pool worker it can block) must run before
+// tests (which want exactly ONE pool worker they can block) must run before
 // any test that constructs a compaction_threads=2 structure. gtest runs
 // tests in declaration order within a file; keep that ordering intact.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -138,6 +146,55 @@ TEST(Compaction, WriterAssistWhenPoolIsBusy) {
   d.flush_stage();
   d.drain_compaction();
   expect_matches(d, model, "post-assist contents");
+}
+
+// Also wants the ONE pool worker (file header note). With that worker parked
+// and the bounded queue full, the pool refuses the next fold's submit and the
+// writer folds it itself: a writer assist, with nothing deferred.
+TEST(Compaction, WriterAssistWhenPoolRejectsSubmit) {
+  if (sync_env_forced()) GTEST_SKIP() << "COSTREAM_COMPACTION=sync";
+  cola::ColaConfig cfg = cola::ingest_tuned(2, 8);
+  cfg.compaction_threads = 1;
+  cola::Gcola<> d(cfg);
+  cola::compact::Pool& pool = cola::compact::Pool::instance();
+
+  std::promise<void> gate, parked;
+  std::shared_future<void> released(gate.get_future());
+  const auto park = [released, &parked] {
+    parked.set_value();
+    released.wait();
+  };
+  // The worker may still be draining the previous test's leftover tasks.
+  std::size_t depth = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!pool.submit(park, /*forced=*/false, &depth)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "the queue never drained";
+    std::this_thread::yield();
+  }
+  parked.get_future().wait();  // the worker is busy: the queue only grows
+  std::size_t queued = 0;
+  while (pool.submit([released] { released.wait(); }, /*forced=*/false, &depth)) {
+    ASSERT_LT(++queued, 64u) << "the queue never saturated";
+  }
+
+  // Distinct inserts: no tombstone or staleness pressure, so no forced fold
+  // (which would bypass the queue bound) — the next fold is a cascade.
+  const cola::CompactionStats before = d.compaction_stats();
+  const std::uint64_t merges = d.stats().merges;
+  Model model;
+  for (Key k = 0; d.stats().merges == merges; ++k) {
+    ASSERT_LT(k, 1'000u) << "no fold tripped";
+    d.insert(k, k + 1);
+    model[k] = k + 1;
+  }
+  const cola::CompactionStats after = d.compaction_stats();
+  gate.set_value();
+  EXPECT_FALSE(d.compaction_pending());
+  EXPECT_EQ(after.folds_deferred, before.folds_deferred);
+  EXPECT_EQ(after.writer_assists, before.writer_assists + 1)
+      << "a fold the pool refused was not counted as a writer assist";
+  d.check_invariants();
+  expect_matches(d, model, "rejected-submit contents");
 }
 
 TEST(Compaction, BackgroundFoldsDeferAndMatchModel) {
@@ -482,6 +539,117 @@ TEST(Compaction, FoldObserverContract) {
     EXPECT_EQ(d.item_count(), 0u);
     d.check_invariants();
   }
+}
+
+TEST(Compaction, RunBatchRethrowsTaskFailureAfterEveryTaskFinished) {
+  // Exactly one task throws, on a pool helper, while the other may still be
+  // running on the caller: the helper must survive, the other task must
+  // finish, and run_batch must rethrow on the caller only after that.
+  cola::compact::Pool::instance().ensure_threads(1);
+  static thread_local bool is_caller = false;
+  is_caller = true;
+  std::atomic<bool> thrown{false};
+  std::atomic<int> finished{0};
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 2; ++i) {
+    tasks.push_back([&] {
+      if (!is_caller && !thrown.exchange(true)) {
+        throw std::runtime_error("task failed on a pool helper");
+      }
+      // The caller holds its task until a helper has thrown.
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!thrown && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      ++finished;
+    });
+  }
+  EXPECT_THROW(cola::compact::Pool::instance().run_batch(tasks), std::runtime_error);
+  is_caller = false;
+  EXPECT_TRUE(thrown.load()) << "no pool helper took a task";
+  EXPECT_EQ(finished.load(), 1);
+}
+
+/// Key whose compare throws on every thread but the test's own while
+/// armed: folds the pool runs fail, folds the writer runs succeed.
+std::atomic<bool> g_compare_armed{false};
+thread_local bool t_compare_exempt = false;
+
+struct FragileKey {
+  std::uint64_t v = 0;
+  friend bool operator<(const FragileKey& a, const FragileKey& b) {
+    if (g_compare_armed.load(std::memory_order_relaxed) && !t_compare_exempt) {
+      throw std::runtime_error("key compare on a pool thread");
+    }
+    return a.v < b.v;
+  }
+  friend bool operator<=(const FragileKey& a, const FragileKey& b) {
+    return !(b < a);
+  }
+  friend bool operator==(const FragileKey& a, const FragileKey& b) {
+    return a.v == b.v;
+  }
+};
+
+TEST(Compaction, FailedPoolFoldsStayPendingAndRerunOnWriter) {
+  // A fold that throws on the pool must neither kill the process nor lose
+  // or corrupt data: it stays pending with its inputs pinned (reads stay
+  // coherent) and the writer re-runs it at the next blocking install
+  // point. At compaction_threads = 2 the folds reach the one-pass cutoff,
+  // so range-partitioned sub-merges throw on pool helpers too.
+  t_compare_exempt = true;
+  for (const unsigned c : {1u, 2u}) {
+    SCOPED_TRACE("compaction_threads=" + std::to_string(c));
+    cola::ColaConfig cfg = cola::ingest_tuned(4, c == 1 ? 64 : 1024);
+    cfg.compaction_threads = c;
+    cola::Gcola<FragileKey, Value> d(cfg);
+    std::map<std::uint64_t, Value> model;
+    std::uint64_t seed = 0xfa11 + c;
+    std::vector<Op<FragileKey, Value>> ops;
+    const std::size_t batches = c == 1 ? 200 : 400;
+    const std::uint64_t universe = c == 1 ? 4'000 : 200'000;
+    g_compare_armed = true;
+    for (std::size_t b = 0; b < batches; ++b) {
+      ops.clear();
+      for (std::size_t i = 0; i < 1024; ++i) {
+        const std::uint64_t r = splitmix64(seed);
+        const FragileKey k{r % universe};
+        if ((r >> 32) % 8 == 0) {
+          ops.push_back(Op<FragileKey, Value>::del(k));
+          model.erase(k.v);
+        } else {
+          ops.push_back(Op<FragileKey, Value>::put(k, r));
+          model[k.v] = r;
+        }
+      }
+      d.apply_batch(Span<Op<FragileKey, Value>>(ops.data(), ops.size()));
+      // Reads interleave the pinned inputs of a failed pending fold.
+      const FragileKey probe{splitmix64(seed) % universe};
+      const auto it = model.find(probe.v);
+      const std::optional<Value> got = d.find(probe);
+      ASSERT_EQ(it != model.end(), got.has_value()) << "key " << probe.v;
+      if (got) {
+        ASSERT_EQ(it->second, *got) << "key " << probe.v;
+      }
+    }
+    g_compare_armed = false;
+    d.drain_compaction();
+    EXPECT_FALSE(d.compaction_pending());
+    d.check_invariants();
+    if (!sync_env_forced()) {
+      EXPECT_GT(d.compaction_stats().writer_assists, 0u);
+    }
+    std::vector<std::pair<std::uint64_t, Value>> got;
+    d.for_each([&](const FragileKey& k, const Value& v) { got.emplace_back(k.v, v); });
+    ASSERT_EQ(got.size(), model.size());
+    std::size_t i = 0;
+    for (const auto& [k, v] : model) {
+      ASSERT_EQ(got[i].first, k) << "pos " << i;
+      ASSERT_EQ(got[i].second, v) << "pos " << i;
+      ++i;
+    }
+  }
+  t_compare_exempt = false;
 }
 
 }  // namespace

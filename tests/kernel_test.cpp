@@ -15,12 +15,17 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "cola/compactor.hpp"
 #include "cola/kernels.hpp"
 #include "common/filter.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "common/snapshot.hpp"
 
 namespace costream {
 namespace {
@@ -340,6 +345,128 @@ TEST(RunKernels, CollapseRunsMatchesSequentialReference) {
         EXPECT_EQ(0u, runs[0]);
       }
       EXPECT_LE(final_dups, base.size() - got.size() + 0u);
+    }
+  }
+}
+
+// -- fold kernel ---------------------------------------------------------------
+
+constexpr std::uint8_t kTomb = snap::Item<K, V>::kFlagTombstone;
+
+/// Fold-shaped input: `ns` sorted, duplicate-free spans (oldest first) over
+/// one shared key range, so most keys recur across spans; ~1 in 5 entries
+/// is a tombstone, and with more than one span every third span is empty.
+std::vector<Buf> fold_inputs(std::size_t ns, std::size_t per_span,
+                             std::uint64_t seed) {
+  std::vector<Buf> runs(ns);
+  for (std::size_t i = 0; i < ns; ++i) {
+    if (ns > 1 && i % 3 == 1) continue;
+    Xoshiro256 rng(seed * 31 + i);
+    K k = rng.below(64);
+    for (std::size_t j = 0; j < per_span; ++j) {
+      k += 1 + rng.below(3);
+      runs[i].push_back(k, rng(), rng.below(5) == 0 ? kTomb : std::uint8_t{0});
+    }
+  }
+  return runs;
+}
+
+/// Keys held by at least two of the runs — counted once each.
+std::uint64_t shared_keys(const std::vector<Buf>& runs) {
+  std::map<K, int> seen;
+  for (const Buf& r : runs) {
+    for (const K& k : r.keys) ++seen[k];
+  }
+  std::uint64_t n = 0;
+  for (const auto& [k, c] : seen) n += c >= 2 ? 1 : 0;
+  return n;
+}
+
+/// Keys present in both unions runs[0, m) and runs[m, end).
+std::uint64_t keys_in_both(const std::vector<Buf>& runs, std::size_t m) {
+  std::set<K> left, both;
+  for (std::size_t i = 0; i < m; ++i) {
+    left.insert(runs[i].keys.begin(), runs[i].keys.end());
+  }
+  for (std::size_t i = m; i < runs.size(); ++i) {
+    for (const K& k : runs[i].keys) {
+      if (left.count(k) != 0) both.insert(k);
+    }
+  }
+  return both.size();
+}
+
+// The one serial fold kernel and the range-partitioned fold around it, on
+// both sides of the one-pass cutoff, against the sequential reference. The
+// duplicate sample is pinned too: below the cutoff it is the final pairwise
+// round's drop count — the keys shared by the two halves that round merges
+// (spans split at the largest power of two below the span count); at or
+// above it, the distinct keys held by two or more spans.
+TEST(FoldKernel, CollapseSpansAndFoldSpansMatchReferenceAcrossCutoff) {
+  cola::compact::Pool::instance().ensure_threads(2);  // sub-merges on the pool
+  const auto tiers = testable_isas();
+  constexpr std::size_t kCut = cola::kern::kOnePassCutoff;
+  for (std::size_t ns = 1; ns <= 9; ++ns) {
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < ns; ++i) live += (ns > 1 && i % 3 == 1) ? 0 : 1;
+    for (const bool above : {false, true}) {
+      const std::size_t per_span = (above ? kCut + kCut / 2 : kCut / 2) / live;
+      const std::vector<Buf> runs = fold_inputs(ns, per_span, ns * 2 + above);
+      std::vector<View> spans;
+      std::vector<std::uint32_t> offsets;
+      Buf flat;
+      for (const Buf& r : runs) {
+        spans.push_back(r.view());
+        offsets.push_back(static_cast<std::uint32_t>(flat.size()));
+        flat.append(r.view());
+      }
+      const std::size_t total = flat.size();
+      ASSERT_EQ(above, total >= kCut) << "ns=" << ns;
+      const Buf want = collapse_ref(flat, offsets);
+      std::size_t half = 1;
+      while (half * 2 < ns) half *= 2;
+      const std::uint64_t distinct = shared_keys(runs);
+      const std::uint64_t want_dups =
+          ns == 1 ? 0 : above ? distinct : keys_in_both(runs, half);
+      cola::kern::CollapseScratch<K, V> scratch;  // reused across every call
+      for (const simd::Isa isa : tiers) {
+        SCOPED_TRACE("ns=" + std::to_string(ns) + " above=" +
+                     std::to_string(above) + " isa=" + simd::isa_name(isa));
+        Buf got;
+        std::uint64_t dups = ~0ull;
+        cola::kern::collapse_spans(spans, total, isa, got, scratch, dups);
+        ASSERT_EQ(want.keys, got.keys);
+        ASSERT_EQ(want.vals, got.vals);
+        ASSERT_EQ(want.flags, got.flags);
+        EXPECT_EQ(want_dups, dups);
+        for (const unsigned ways : {1u, 2u, 4u}) {
+          Buf fgot;
+          std::uint64_t fdups = ~0ull;
+          cola::compact::fold_spans(spans, total, ways, isa, fgot, scratch, fdups);
+          ASSERT_EQ(want.keys, fgot.keys) << "ways=" << ways;
+          ASSERT_EQ(want.vals, fgot.vals) << "ways=" << ways;
+          ASSERT_EQ(want.flags, fgot.flags) << "ways=" << ways;
+          if (ways == 1) {
+            EXPECT_EQ(want_dups, fdups);
+          } else {
+            // Per-partition samples: each counts keys its own spans share.
+            EXPECT_LE(fdups, distinct) << "ways=" << ways;
+          }
+        }
+      }
+      // The one strip: every tombstone goes, everything else keeps order.
+      Buf stripped = want;
+      const std::size_t dropped = cola::kern::strip_tombstones(stripped);
+      std::size_t w = 0;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if ((want.flags[i] & kTomb) != 0) continue;
+        ASSERT_LT(w, stripped.size());
+        ASSERT_EQ(want.keys[i], stripped.keys[w]);
+        ASSERT_EQ(want.vals[i], stripped.vals[w]);
+        ++w;
+      }
+      EXPECT_EQ(w, stripped.size());
+      EXPECT_EQ(want.size() - w, dropped);
     }
   }
 }
