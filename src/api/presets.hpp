@@ -63,8 +63,10 @@ inline shuttle::ShuttleConfig to_shuttle_config(const DictConfig& c) {
 /// directly.
 ///
 /// A non-empty durable_dir is accepted only for kind "cola" with one
-/// shard: other kinds have no durable tier, and S shards would share one
-/// WAL and one manifest. Both throw std::invalid_argument.
+/// shard and the staged (tiered) geometry, as DictConfig::durable builds
+/// it: other kinds have no durable tier, S shards would share one WAL and
+/// one manifest, and classic levels cannot be checkpointed. All three
+/// throw std::invalid_argument (the last from the DurableDictionary).
 inline AnyDictionary make_dictionary(const std::string& kind,
                                      const DictConfig& cfg = DictConfig{}) {
   if (!cfg.durable_dir.empty() && kind != "cola") {

@@ -109,9 +109,10 @@
 // every mutator feeds ingest_run (sort in the caller's element form, then
 // stage_append into the arena or cascade_run into the levels; put() is a
 // one-element run). Fold: every tiered fold — cascade, forced retention,
-// compact_all — enters fold(), which gathers the inputs, decides the
-// tombstone drop, and runs one compact::FoldJob (one kernel, one strip,
-// one filter mint) either on the writer thread or on the compaction pool.
+// the checkpoint's compact — enters fold(), which gathers the inputs,
+// decides the tombstone drop, and runs one compact::FoldJob (one kernel,
+// one strip, one filter mint) either on the writer thread or on the
+// compaction pool.
 // Install: every fold output lands through install(), which mints the
 // segment and reports it to the durable tier's FoldObserver.
 #pragma once
@@ -727,22 +728,50 @@ class Gcola {
     next_seg_id_ = std::max(next_seg_id_, id);
   }
 
-  /// Fold EVERYTHING (staging arena + all levels) into one stripped
-  /// segment placed no shallower than `min_target` — the checkpoint
-  /// primitive: with an observer attached at spill_depth <= min_target the
-  /// resulting segment (or the empty-output report, when the fold consumed
-  /// spilled segments) reaches storage and fully represents the
-  /// dictionary. Returns true when a segment was produced. An empty
-  /// dictionary folds nothing and reports nothing. Tiered mode only.
-  bool compact_all(std::size_t min_target = 0) {
+  /// Settle everything at `min_target` or deeper — the checkpoint
+  /// primitive. The staging arena is flushed and any background fold
+  /// lands first. With `full`, EVERYTHING then folds into one stripped
+  /// segment placed no shallower than `min_target`: every tombstone and
+  /// shadowed duplicate dies. Without it, only the levels shallower than
+  /// `min_target` move, by one inline cascade into the first level at or
+  /// past `min_target` with room — exactly the cascade an arriving run of
+  /// their mass would take, trivial move included — and deeper segments
+  /// the cascade does not reach stay as they are. With an observer
+  /// attached at spill_depth <= min_target the fold's output (or its
+  /// empty-output report) reaches storage like any spill. No fold is
+  /// pending on return; an empty dictionary folds and reports nothing.
+  /// Tiered mode only.
+  void compact(std::size_t min_target, bool full) {
     drain_compaction();
     flush_stage();
     drain_compaction();  // the flush itself may have deferred a fold
     ++mutation_epoch_;
-    if (item_count() == 0) return false;
-    ++stats_.merges;
-    fold(min_target, /*full=*/true, /*may_defer=*/false);
-    return item_count() > 0;  // the fold consumed everything else
+    if (item_count() == 0) return;
+    if (full) {
+      ++stats_.merges;
+      fold(min_target, /*full=*/true, /*may_defer=*/false);
+      return;
+    }
+    std::uint64_t shallow = 0;
+    for (std::size_t l = 0; l < min_target && l < levels_.size(); ++l) {
+      shallow += levels_[l].real_count;
+    }
+    if (shallow == 0) return;
+    incoming_spans_.clear();  // the cascade carries no incoming run
+    cascade_run_tiered(/*incoming=*/0, min_target, /*may_defer=*/false);
+    drain_compaction();  // a retention fold it set off may be deferred
+  }
+
+  /// Visit every installed tiered segment as fn(level, segment) in
+  /// content-age order, oldest first: deepest level first and, within a
+  /// level, oldest segment first — the order a durable manifest lists and
+  /// recovery replays. A pending background fold's inputs are not visited
+  /// (drain_compaction() first for the whole set). Read-only.
+  template <class Fn>
+  void for_each_segment(Fn&& fn) const {
+    for (std::size_t l = levels_.size(); l-- > 0;) {
+      for (const SegRef& seg : levels_[l].segs) fn(l, *seg);
+    }
   }
 
   // -- verification -----------------------------------------------------------
@@ -1478,15 +1507,20 @@ class Gcola {
     cascade_into_planes(t);
   }
 
-  /// Shallowest level that can absorb an incoming run of `incoming` items
-  /// plus everything displaced above it (full or too-small levels fold into
-  /// the cascade). Pending-aware: an in-flight background fold's mass (and
-  /// its one future segment) counts against its target level, so a cascade
+  /// Shallowest level at or past `min_level` that can absorb an incoming
+  /// run of `incoming` items plus everything displaced above it (the
+  /// levels above `min_level`, and full or too-small levels, fold into the
+  /// cascade). Pending-aware: an in-flight background fold's mass (and its
+  /// one future segment) counts against its target level, so a cascade
   /// picked here can never over-commit the level the install is about to
   /// land in.
-  std::size_t select_cascade_target(std::uint64_t incoming) const {
-    std::uint64_t carried = incoming + level_mass(0);
-    std::size_t t = 1;
+  std::size_t select_cascade_target(std::uint64_t incoming,
+                                    std::size_t min_level = 1) const {
+    std::uint64_t carried = incoming;
+    for (std::size_t l = 0; l < min_level && l < levels_.size(); ++l) {
+      carried += level_mass(l);
+    }
+    std::size_t t = min_level;
     while (true) {
       if (t < levels_.size()) {
         if (!level_committed_full(t) && level_mass(t) + carried <= real_cap(t)) {
@@ -1518,12 +1552,14 @@ class Gcola {
            levels_[t].segs.size() + 1 >= cfg_.growth - 1;
   }
 
-  /// Tiered cascade entry: pick the target for `incoming` staged/normalized
-  /// items (prepared in incoming_spans_, oldest -> newest) and run the
-  /// segment fold.
-  void cascade_run_tiered(std::uint64_t incoming) {
-    if (incoming == 0) return;
-    std::size_t t = select_cascade_target(incoming);
+  /// Tiered cascade entry: pick the target at or past `min_level` for
+  /// `incoming` staged/normalized items (prepared in incoming_spans_,
+  /// oldest -> newest) plus everything above it, and run the segment fold
+  /// (`may_defer`: on the pool when the engine is on). The checkpoint's
+  /// cascade of the shallow levels is the one caller with no incoming run.
+  void cascade_run_tiered(std::uint64_t incoming, std::size_t min_level = 1,
+                          bool may_defer = true) {
+    std::size_t t = select_cascade_target(incoming, min_level);
     // A cascade deeper than the in-flight fold's target would consume the
     // level the install is about to land in — land the fold first (writer
     // assist when no worker has finished it yet) and re-pick the target
@@ -1531,7 +1567,7 @@ class Gcola {
     // engine keeps: data never moves DEEPER past a pending install point.
     if (pend_job_ && t > pend_target_) {
       land_pending(/*block=*/true);
-      t = select_cascade_target(incoming);
+      t = select_cascade_target(incoming, min_level);
     }
     // Trivial move: when the cascade is about to drain the deepest data
     // into virgin territory, the deepest level's segments are already
@@ -1570,12 +1606,12 @@ class Gcola {
           mm_.touch_write(seg->base_addr, seg->size() * sizeof(TItem));
         }
         bottom_relocated_ = true;
-        t = select_cascade_target(incoming);
+        t = select_cascade_target(incoming, min_level);
       }
     }
     ensure_level(t);
     ++stats_.merges;
-    fold(t, /*full=*/false, /*may_defer=*/true);
+    fold(t, /*full=*/false, may_defer);
     maybe_fold_bottom_tombstones();
   }
 
@@ -1664,7 +1700,7 @@ class Gcola {
 
   /// The one tiered fold. A cascade fold (`full` false) consumes levels
   /// [0, t) plus incoming_spans_ into level t. A full fold — the forced
-  /// retention fold and compact_all — consumes levels [0, d] (d = deepest)
+  /// retention fold and compact(full) — consumes levels [0, d] (d = deepest)
   /// into ONE stripped segment no shallower than max(d, t): no older copy
   /// of any key can exist below the deepest level, so every tombstone and
   /// every shadowed duplicate dies here — and at small g, where a level
@@ -1834,6 +1870,10 @@ class Gcola {
     cstats_->bg_fold_ns.fetch_add(held->fold_ns, std::memory_order_relaxed);
     install(*held, pend_target_,
             cfg_.unsafe_break_install_order ? kAppend : pend_prior_segs_);
+    // A job the writer claimed back is still held by its queued pool task
+    // until a worker pops it: release the pinned inputs now, not then.
+    held->spans.clear();
+    held->inputs.clear();
   }
 
   /// Push level l's segments newest -> oldest (the snapshot/view priority

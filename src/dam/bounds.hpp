@@ -185,18 +185,44 @@ inline double wal_append_transfer_bound(double record_bytes, double block_bytes,
          std::max(0.0, syncs_per_op);
 }
 
-/// Amortized checkpoint transfer bound: a checkpoint rewrites the FULL
-/// dictionary (n elements of `entry_bytes` each) into an immutable segment
-/// file, once every `ops_per_checkpoint` operations (the
-/// checkpoint_wal_bytes policy divided by the per-op record size). Spread
-/// over the interval, each operation carries n * entry_bytes /
-/// (ops_per_checkpoint * B) transfers of checkpoint traffic — the term to
-/// add to wal_append_transfer_bound for the durable tier's total write
-/// amplification.
+/// Elements a tiered COLA of growth g can hold in the levels shallower
+/// than `depth`: level 0 holds one, level l >= 1 holds 2(g-1)g^(l-1), so
+/// the sum is 2 g^(depth-1) - 1 (0 for depth 0).
+inline double cola_shallow_capacity(double growth, double depth) noexcept {
+  if (depth < 1.0) return 0.0;
+  return 2.0 * std::pow(std::max(2.0, growth), depth - 1.0) - 1.0;
+}
+
+/// Amortized checkpoint transfer bound, once every `ops_per_checkpoint`
+/// operations (the checkpoint_wal_bytes policy divided by the per-op
+/// record size), for elements of `entry_bytes` each. A checkpoint writes
+/// only what has no segment file yet: the staging arena (`staged_elems`)
+/// and the levels shallower than `spill_depth`, cascaded into one segment,
+/// at most cola_shallow_capacity(g, spill_depth) + staged_elems elements
+/// whatever n is; files already on disk are referenced, not rewritten.
+/// The cascade lands in the first spilled level with room, so when that
+/// level is full it drains through it exactly as the next arriving run
+/// would have: that drain is the insert bound's, not the checkpoint's.
+/// One-offs write more: what a trivial move carried across the spill
+/// depth while the store first grew past it (a level's worth), a spill
+/// whose write failed, and the replayed state, which the first checkpoint
+/// after a reopen rewrites once. Only when the feed since the last full
+/// fold was not append-only (`full_fold`: a tombstone logged or a
+/// duplicate dropped) does the checkpoint fold all n elements into one
+/// segment. Spread over the interval, each operation carries written *
+/// entry_bytes / (ops_per_checkpoint * B) transfers of checkpoint traffic
+/// — the term to add to wal_append_transfer_bound for the durable tier's
+/// total write amplification; the manifest, ~40 bytes per live segment,
+/// adds a block or two per checkpoint.
 inline double checkpoint_transfer_bound(double n, double entry_bytes,
                                         double ops_per_checkpoint,
-                                        double block_bytes) noexcept {
-  return n * entry_bytes /
+                                        double block_bytes, double growth,
+                                        double spill_depth,
+                                        double staged_elems,
+                                        bool full_fold) noexcept {
+  const double written =
+      full_fold ? n : cola_shallow_capacity(growth, spill_depth) + staged_elems;
+  return written * entry_bytes /
          (std::max(1.0, ops_per_checkpoint) * std::max(1.0, block_bytes));
 }
 

@@ -10,11 +10,29 @@
 // Folds landing at or past spill_depth stream their segment to an
 // immutable checksummed spill file (segment_file.hpp) through the Gcola's
 // FoldObserver hook, and every spill installs a manifest tying the current
-// WAL epoch to the live segment set. Checkpoint = fold EVERYTHING into one
-// stripped full-state segment (Gcola::compact_all), advance covered_seqno
-// to the last assigned seqno, rotate the WAL, install the manifest, and
-// garbage-collect the WAL files and orphan segments that the new manifest
-// obsoletes.
+// WAL epoch to the live segment set, then deletes the files of the
+// segments the fold consumed.
+//
+// A checkpoint persists a version as a set of immutable segments, writing
+// only what has no file yet (Gcola::compact): the staging arena and the
+// levels shallower than spill_depth cascade into the first spilled level
+// with room, every segment at spill_depth or deeper that still has no file
+// is written, the WAL rotates, and one manifest at covered_seqno = seqno
+// lists exactly the in-memory segment set with levels, oldest first
+// (deepest level first, oldest segment first within a level). Files
+// already on disk are referenced, never rewritten, so a checkpoint costs
+// O(shallow levels + segments without a file), not O(N). Segments without
+// a file at spill_depth or deeper come from a trivial move across
+// spill_depth, a spill whose write failed, and every segment recovery
+// replays (the observer attaches after replay, so the first checkpoint of
+// a process generation rewrites the replayed state once and drops the
+// recovered files). When the feed since the last full fold was not
+// append-only — a tombstone logged or a duplicate dropped by a fold — the
+// checkpoint instead folds EVERYTHING into one stripped segment first:
+// the full fold is the garbage collector that bounds on-disk dead mass.
+// Files the new manifest no longer lists, and WAL files older than the new
+// epoch, are deleted once it is durable, best-effort: a file that cannot
+// be removed is garbage the next collection retries.
 //
 // A size-triggered checkpoint that fails is DEFERRED, not thrown: the
 // mutation that tripped it already succeeded (WAL + memory + seqno), so
@@ -22,8 +40,8 @@
 // and the next window retries. Only an explicit checkpoint() call throws.
 //
 // Recovery (the constructor) replays manifest -> segments (in manifest
-// order: creation order == content-age order, so newest-wins replay
-// reconstructs the merge view) -> WAL tail (records past covered_seqno,
+// order, which is content-age order, so newest-wins replay reconstructs
+// the merge view) -> WAL tail (records past covered_seqno,
 // torn tails truncated). The segment-id counter is seeded past every
 // manifest-live id BEFORE replay so replay-minted in-memory segment ids
 // never collide with on-disk ones, and replay must reach the
@@ -34,17 +52,22 @@
 // instead. Never UB.
 //
 // Correctness of the always-installed manifest: a spill's manifest keeps
-// the OLD covered_seqno, so its segments only ever hold data the WAL tail
-// also holds; replaying a segment first and the (in-seqno-order) WAL tail
-// after converges to the pre-crash state because the last operation on a
-// key wins. covered_seqno advances ONLY after a full-state fold has been
-// spilled and synced.
+// the OLD covered_seqno and appends its segment after every file it keeps,
+// and each kept file holding covered data is older than the new segment,
+// so the list stays in content-age order for the covered prefix; content
+// past covered_seqno is also in the WAL tail, and replaying the segments
+// first and the (in-seqno-order) WAL tail after converges to the
+// pre-crash state because the last operation on a key wins. A file leaves
+// a manifest only once the manifest replacing it lists files holding all
+// of its live content. covered_seqno advances ONLY in a checkpoint's
+// manifest, after every in-memory segment has a synced file.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -69,7 +92,10 @@ struct DurableConfig {
   // it to bound the durability lag, or use kAlways for per-record fsync.
   std::size_t group_commit_bytes = 1u << 20;
   std::size_t wal_segment_bytes = 4u << 20;
-  // Checkpoint when this many WAL bytes accumulate since the last one.
+  // Checkpoint when this many WAL bytes accumulate since the last one. A
+  // checkpoint writes only what has no segment file yet, whatever the
+  // store's size (file header; dam::checkpoint_transfer_bound), and lets
+  // the WAL before it go.
   std::size_t checkpoint_wal_bytes = 8u << 20;
   // Folds landing at or past this level spill to segment files. Each
   // spill pays a segment write plus a manifest install (several fsyncs),
@@ -94,6 +120,11 @@ struct DurableStats {
   // durability — so the failure surfaces here (and in
   // last_checkpoint_error()) instead of as a throw from the mutator.
   std::uint64_t checkpoint_failures = 0;
+  // Spills whose write or manifest install failed. The segment stays in
+  // memory without a file, the WAL still covers it, and the next
+  // checkpoint writes it.
+  std::uint64_t spill_failures = 0;
+  // Segment files written, by spills and by checkpoints.
   std::uint64_t segments_spilled = 0;
   std::uint64_t segments_retired = 0;
   std::uint64_t recovered_segment_entries = 0;
@@ -157,8 +188,8 @@ class DurableDictionary {
     st_->wal->sync();
   }
 
-  /// Force a checkpoint: full-state fold spilled, covered_seqno advanced,
-  /// WAL rotated, obsolete files collected.
+  /// Force a checkpoint: every in-memory segment given a file,
+  /// covered_seqno advanced, WAL rotated, obsolete files collected.
   void checkpoint() {
     st_->throw_if_read_only();
     st_->checkpoint();
@@ -229,9 +260,9 @@ class DurableDictionary {
   struct State;
 
   /// The Gcola-side spill hook. Runs inside a fold, so it must not throw:
-  /// failures are recorded and the disk live-set is left unchanged (the
-  /// WAL still covers everything, so a missed spill costs nothing but the
-  /// checkpoint that would have advanced covered_seqno).
+  /// a failure is counted and the disk live-set is left unchanged. The
+  /// segment then stays in memory without a file, the WAL still covers
+  /// it, and the next checkpoint writes it.
   ///
   /// Background compaction keeps the WAL-synced-before-install invariant
   /// for free: with compaction_threads > 0 the Gcola still fires this hook
@@ -241,13 +272,11 @@ class DurableDictionary {
   /// State needs no extra locking.
   struct Spiller final : Cola::FoldObserver {
     State* st = nullptr;
-    bool full_state = false;  // checkpoint: segment replaces the live set
-    bool failed = false;
-    std::string error;
 
     void on_segment_spill(std::size_t level, const snap::Segment<Key, Value>* seg,
                           const std::uint64_t* consumed,
                           std::size_t n_consumed) override {
+      std::vector<std::string> dropped;
       try {
         // WAL barrier BEFORE the segment lands: every op a fold can spill
         // must already be durable in the log, or a crash would leave a
@@ -257,25 +286,24 @@ class DurableDictionary {
         // content is a subset of covered-prefix + durable WAL tail.)
         if (seg != nullptr && st->wal) st->wal->sync();
         std::vector<SegmentMeta> live;
-        if (!full_state) {
-          live.reserve(st->live.size() + 1);
-          std::unordered_set<std::uint64_t> gone(consumed,
-                                                 consumed + n_consumed);
-          for (const auto& s : st->live) {
-            if (gone.count(s.seg_id) == 0) live.push_back(s);
+        live.reserve(st->live.size() + 1);
+        const std::unordered_set<std::uint64_t> gone(consumed,
+                                                     consumed + n_consumed);
+        for (const auto& s : st->live) {
+          if (gone.count(s.seg_id) == 0) {
+            live.push_back(s);
+          } else {
+            dropped.push_back(s.name);
           }
         }
         if (seg != nullptr) {
-          const std::string name = seg_detail::segment_name(seg->id);
-          SegmentWriter w(*st->env, name, st->cfg.segment_block_bytes);
-          for (std::size_t i = 0; i < seg->size(); ++i) {
-            w.add({seg->keys[i], seg->vals[i],
-                   seg->is_tombstone(i) ? kEntryTombstone : std::uint8_t{0}});
-          }
-          w.finish();
+          live.push_back(st->write_segment_file(level, *seg));
           st->env->sync_dir();
-          live.push_back({name, seg->id, static_cast<std::uint32_t>(level),
-                          static_cast<std::uint64_t>(seg->size())});
+          // The file is whole and its name durable, and a failed install
+          // below may still have renamed its manifest into place: list it
+          // either way (next to the consumed files, it is still an
+          // oldest-first list), so nothing rewrites a referenced file.
+          st->live.push_back(live.back());
         }
         Manifest m;
         m.covered_seqno = st->covered_seqno;
@@ -287,13 +315,18 @@ class DurableDictionary {
         m.next_file_no = st->wal ? st->wal->file_no() + 1 : st->next_wal_no;
         m.segments = live;
         install_manifest(*st->env, m);
-        st->stats.segments_retired +=
-            st->live.size() + (seg != nullptr ? 1 : 0) - live.size();
+        st->stats.segments_retired += dropped.size();
         st->live = std::move(live);
-        if (seg != nullptr) ++st->stats.segments_spilled;
-      } catch (const std::exception& e) {
-        failed = true;
-        error = e.what();
+      } catch (const std::exception&) {
+        ++st->stats.spill_failures;
+        return;
+      }
+      // The manifest that drops the consumed files is durable: delete them
+      // now rather than at the next checkpoint.
+      try {
+        for (const std::string& name : dropped) st->remove_garbage(name);
+      } catch (const std::exception&) {
+        // a power cut: the env is down, and recovery collects the orphans
       }
     }
   };
@@ -312,6 +345,11 @@ class DurableDictionary {
     std::uint64_t next_wal_no = 0;
     std::uint64_t last_recovered_seqno = 0;
     std::uint64_t wal_bytes_at_checkpoint = 0;
+    // The feed since the last full fold, as the checkpoint's garbage
+    // collector reads it: a tombstone was logged (or replayed), and the
+    // inner duplicates_dropped counter at that fold.
+    bool tombstone_seen = false;
+    std::uint64_t dups_at_full_fold = 0;
     bool read_only = false;
     std::string corruption_detail;
     std::string last_checkpoint_error;
@@ -324,7 +362,7 @@ class DurableDictionary {
         : owned_env(std::move(owned)),
           env(&borrowed),
           cfg(c),
-          inner(c.inner),
+          inner(tiered_only(c.inner)),
           cache(c.block_cache_bytes) {
       spiller.st = this;
       recover();
@@ -334,10 +372,22 @@ class DurableDictionary {
         : owned_env(std::move(owned)),
           env(owned_env.get()),
           cfg(c),
-          inner(c.inner),
+          inner(tiered_only(c.inner)),
           cache(c.block_cache_bytes) {
       spiller.st = this;
       recover();
+    }
+
+    /// Spills and checkpoints persist tiered segments: classic levels
+    /// report no folds to the spiller and cannot be checkpointed, so a
+    /// classic inner config would lose data at the first checkpoint.
+    static const cola::ColaConfig& tiered_only(const cola::ColaConfig& c) {
+      if (!c.tiered) {
+        throw std::invalid_argument(
+            "DurableDictionary: the inner COLA must be tiered "
+            "(cola::ingest_tuned)");
+      }
+      return c;
     }
 
     void throw_if_read_only() const {
@@ -354,6 +404,10 @@ class DurableDictionary {
       wal->append_ops(last, ops, n);  // throws before memory is touched
       ++stats.wal_records;
       seqno = last;
+      if (!tombstone_seen) {
+        tombstone_seen =
+            std::any_of(ops, ops + n, [](const Op<>& o) { return o.erase; });
+      }
       inner.apply_batch(Span<Op<>>(ops, n));
       maybe_checkpoint();
     }
@@ -389,49 +443,48 @@ class DurableDictionary {
         // the checkpoint — the WAL still carries everything — so defer:
         // record the failure for health observers and retry once another
         // checkpoint_wal_bytes window accumulates (immediate per-op
-        // retries would pay a full compact_all per mutation).
+        // retries would pay a checkpoint per mutation).
         ++stats.checkpoint_failures;
         last_checkpoint_error = e.what();
         wal_bytes_at_checkpoint = wal->bytes_logged();
       }
     }
 
-    /// Fold everything to one spilled segment, advance covered_seqno, open
-    /// a new WAL epoch, install the manifest, collect obsolete files.
+    /// Persist the in-memory state as one version of immutable segment
+    /// files: settle everything at spill_depth or deeper (a cascade of the
+    /// shallow levels, or the full fold when the feed since the last one
+    /// was not append-only), write each segment that has no file yet, open
+    /// a new WAL epoch, install one manifest listing exactly the in-memory
+    /// segment set at covered_seqno = seqno, and collect what it obsoletes.
     void checkpoint() {
-      spiller.failed = false;
-      // Drain the staging arena under NORMAL spill semantics first. The
-      // folds it cascades are incremental (consumed segments replaced by
-      // their merge); flagging them full_state would install a manifest
-      // whose live set is just that partial fold — silently dropping the
-      // previous checkpoint's full-state segment, whose content the WAL no
-      // longer covers. compact_all's own flush is then a no-op, so exactly
-      // its one final all-levels fold runs as the full-state spill. The
-      // same holds for a background fold (one the flush deferred, or one
-      // already in flight): it must install here, not inside compact_all.
-      inner.flush_stage();
-      inner.drain_compaction();
-      if (spiller.failed) {
-        spiller.failed = false;
-        throw IOError("checkpoint pre-flush spill failed: " + spiller.error);
+      const bool full = tombstone_seen ||
+                        inner.stats().duplicates_dropped != dups_at_full_fold;
+      inner.compact(cfg.spill_depth, full);
+      if (full) {
+        tombstone_seen = false;
+        dups_at_full_fold = inner.stats().duplicates_dropped;
       }
-      spiller.full_state = true;
-      const bool produced = inner.compact_all(cfg.spill_depth);
-      spiller.full_state = false;
-      if (spiller.failed) {
-        spiller.failed = false;
-        // covered_seqno did NOT advance; WAL keeps everything. Durability
-        // is intact — the checkpoint just didn't happen.
-        throw IOError("checkpoint spill failed: " + spiller.error);
-      }
-      if (!produced) {
-        // Empty dictionary (or fold annihilated to nothing with no spilled
-        // sources): the live set is whatever the observer last installed,
-        // or — when no observer call fired — must become empty by hand.
-        if (!live.empty() && inner.item_count() == 0) {
-          live.clear();
-        }
-      }
+      // Every segment now sits at spill_depth or deeper. Reference the
+      // ones with a file (at their current level: a trivial move
+      // relocates a file-backed segment), write the ones without.
+      std::unordered_set<std::uint64_t> filed;
+      for (const auto& s : live) filed.insert(s.seg_id);
+      std::vector<SegmentMeta> next;
+      std::size_t kept = 0;
+      bool wrote = false;
+      inner.for_each_segment(
+          [&](std::size_t level, const snap::Segment<Key, Value>& seg) {
+            if (filed.count(seg.id) == 0) {
+              next.push_back(write_segment_file(level, seg));
+              wrote = true;
+              return;
+            }
+            ++kept;
+            next.push_back({seg_detail::segment_name(seg.id), seg.id,
+                            static_cast<std::uint32_t>(level),
+                            static_cast<std::uint64_t>(seg.size())});
+          });
+      if (wrote) env->sync_dir();
       // covered_seqno (and with it durable_seqno's floor) advances in
       // memory only once the manifest that PROVES it is durably installed;
       // a throw anywhere below leaves the old honest value, with the WAL
@@ -442,34 +495,69 @@ class DurableDictionary {
       m.covered_seqno = new_covered;
       m.durable_seqno = std::max(new_covered, wal->durable_seqno());
       m.next_file_no = wal->file_no() + 1;
-      m.segments = live;
+      m.segments = next;
       install_manifest(*env, m);
       covered_seqno = new_covered;
       wal_bytes_at_checkpoint = wal->bytes_logged();
       ++stats.checkpoints;
+      stats.segments_retired += live.size() - kept;
       last_checkpoint_error.clear();
-      gc();
+      live = std::move(next);
+      gc(wal->file_no());
     }
 
-    /// Remove WAL files older than the current epoch and segment files the
-    /// manifest no longer references. Transient EIO is retried; permanent
-    /// failures propagate (the files are merely stale, and the next
-    /// checkpoint retries the collection).
-    void gc() {
+    /// Write one in-memory segment to its spill file (contents fsynced;
+    /// the caller commits the name) and return its manifest entry.
+    SegmentMeta write_segment_file(std::size_t level,
+                                   const snap::Segment<Key, Value>& seg) {
+      const std::string name = seg_detail::segment_name(seg.id);
+      SegmentWriter w(*env, name, cfg.segment_block_bytes);
+      for (std::size_t i = 0; i < seg.size(); ++i) {
+        w.add({seg.keys[i], seg.vals[i],
+               seg.is_tombstone(i) ? kEntryTombstone : std::uint8_t{0}});
+      }
+      w.finish();
+      ++stats.segments_spilled;
+      return {name, seg.id, static_cast<std::uint32_t>(level),
+              static_cast<std::uint64_t>(seg.size())};
+    }
+
+    /// Delete a file no durable manifest references. Best-effort: the
+    /// manifest that made it garbage is already installed, so a file that
+    /// cannot be removed merely waits for the next collection. Only a
+    /// scheduled power cut propagates (the harness must see it).
+    void remove_garbage(const std::string& name) {
+      try {
+        with_retry(*env, [&] { env->remove_file(name); });
+      } catch (const CrashError&) {
+        throw;
+      } catch (const IOError&) {
+      }
+    }
+
+    /// Collect the segment files outside the live set and the WAL files
+    /// numbered below `wal_below` (0 at open, where older WAL files may
+    /// still hold the tail being replayed). Best-effort, like
+    /// remove_garbage: the next checkpoint retries whatever stays.
+    void gc(std::uint64_t wal_below) {
       std::unordered_set<std::string> keep;
       for (const auto& s : live) keep.insert(s.name);
-      for (const auto& name : env->list()) {
-        std::uint64_t no;
-        if (wal_detail::parse_wal_name(name, no)) {
-          if (no < wal->file_no()) {
-            with_retry(*env, [&] { env->remove_file(name); });
+      try {
+        for (const auto& name :
+             with_retry(*env, [&] { return env->list(); })) {
+          std::uint64_t no;
+          if (wal_detail::parse_wal_name(name, no)) {
+            if (no < wal_below) remove_garbage(name);
+          } else if (name.size() > 4 && name.compare(0, 4, "seg-") == 0 &&
+                     keep.count(name) == 0) {
+            remove_garbage(name);
           }
-        } else if (name.size() > 4 && name.compare(0, 4, "seg-") == 0 &&
-                   keep.count(name) == 0) {
-          with_retry(*env, [&] { env->remove_file(name); });
         }
+        with_retry(*env, [&] { env->sync_dir(); });
+      } catch (const CrashError&) {
+        throw;
+      } catch (const IOError&) {
       }
-      with_retry(*env, [&] { env->sync_dir(); });
     }
 
     /// Rebuild memory from disk: manifest -> segments -> WAL tail. See the
@@ -506,9 +594,10 @@ class DurableDictionary {
               replay_scratch.clear();
               replay_scratch.reserve(rec.entries.size());
               for (const auto& e : rec.entries) {
-                replay_scratch.push_back(
-                    (e.flags & 1u) != 0 ? Op<>::del(e.key)
-                                        : Op<>::put(e.key, e.value));
+                const bool del = (e.flags & 1u) != 0;
+                tombstone_seen = tombstone_seen || del;
+                replay_scratch.push_back(del ? Op<>::del(e.key)
+                                             : Op<>::put(e.key, e.value));
               }
               inner.apply_batch(replay_scratch);
               ++stats.recovered_wal_records;
@@ -540,7 +629,7 @@ class DurableDictionary {
                        cfg.wal_segment_bytes},
             next_wal_no);
         inner.set_fold_observer(&spiller, cfg.spill_depth);
-        gc_orphan_segments();
+        gc(/*wal_below=*/0);  // segment files of crashed spills
       } catch (const CrashError&) {
         throw;  // scheduled power cut mid-recovery: the harness reopens
       } catch (const TransientIOError&) {
@@ -558,8 +647,9 @@ class DurableDictionary {
       SegmentReader r(*env, s.name, s.seg_id, &cache);
       replay_scratch.clear();
       r.for_each_raw([&](const SegmentEntry& e) {
-        replay_scratch.push_back((e.flags & kEntryTombstone) != 0
-                                     ? Op<>::del(e.key)
+        const bool del = (e.flags & kEntryTombstone) != 0;
+        tombstone_seen = tombstone_seen || del;
+        replay_scratch.push_back(del ? Op<>::del(e.key)
                                      : Op<>::put(e.key, e.value));
         if (replay_scratch.size() >= 4096) {
           inner.apply_batch(replay_scratch);
@@ -570,27 +660,6 @@ class DurableDictionary {
       inner.apply_batch(replay_scratch);
       stats.recovered_segment_entries += replay_scratch.size();
       replay_scratch.clear();
-    }
-
-    /// Drop segment files no manifest references (crashed spills). Best
-    /// effort at open: a failure here just leaves garbage for the next gc —
-    /// only a scheduled power cut propagates (the harness must see it).
-    void gc_orphan_segments() {
-      try {
-        std::unordered_set<std::string> keep;
-        for (const auto& s : live) keep.insert(s.name);
-        for (const auto& name : env->list()) {
-          if (name.size() > 4 && name.compare(0, 4, "seg-") == 0 &&
-              keep.count(name) == 0) {
-            env->remove_file(name);
-          }
-        }
-        env->sync_dir();
-      } catch (const CrashError&) {
-        throw;
-      } catch (const IOError&) {
-        // stale files stay; the next checkpoint's gc retries
-      }
     }
 
     void degrade(const std::string& why) {

@@ -19,9 +19,11 @@
 // Replay uses it to tell mid-log corruption (a CRC break below this
 // boundary with intact records after it — durable data, never truncated)
 // from a torn unsynced tail (safe to truncate; it was never acknowledged).
-// Segments are listed in CREATION order — for this fold discipline that
-// is also content-age order, so replaying them in list order with
-// newest-wins semantics reconstructs the exact pre-crash merge view.
+// Segments are listed in content-age order, oldest first: a checkpoint
+// lists the deepest level first and each level's oldest segment first, and
+// a spill appends its segment, the newest, after every file it keeps. So
+// replaying them in list order with newest-wins semantics reconstructs the
+// exact pre-crash merge view.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +53,7 @@ struct Manifest {
   std::uint64_t covered_seqno = 0;
   std::uint64_t durable_seqno = 0;  // WAL fsynced through here at install
   std::uint64_t next_file_no = 0;  // next WAL file number to allocate
-  std::vector<SegmentMeta> segments;  // creation order == content-age order
+  std::vector<SegmentMeta> segments;  // content-age order, oldest first
 };
 
 namespace manifest_detail {

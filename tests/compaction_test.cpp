@@ -520,8 +520,18 @@ TEST(Compaction, FoldObserverContract) {
     EXPECT_GT(d.stats().forced_bottom_folds, 0u);
     EXPECT_GT(obs.reports, 0u);
 
-    EXPECT_TRUE(d.compact_all());
-    expect_reports_match_installed(d, obs, "compact_all");
+    // The checkpoint's incremental settle: everything ends at level 3 or
+    // deeper, through reported folds, with the contents unchanged.
+    d.compact(3, /*full=*/false);
+    expect_reports_match_installed(d, obs, "compact to level 3");
+    EXPECT_FALSE(d.compaction_pending());
+    d.for_each_segment([](std::size_t level, const snap::Segment<>&) {
+      EXPECT_GE(level, 3u);
+    });
+    expect_matches(d, model, "settled contents");
+
+    d.compact(0, /*full=*/true);
+    expect_reports_match_installed(d, obs, "compact");
     EXPECT_EQ(obs.live.size(), 1u);
     expect_matches(d, model, "compacted contents");
 
@@ -532,7 +542,7 @@ TEST(Compaction, FoldObserverContract) {
     model.clear();
     const std::size_t empties = obs.empty_reports;
     d.erase_batch(keys);
-    EXPECT_FALSE(d.compact_all());
+    d.compact(0, /*full=*/true);
     expect_reports_match_installed(d, obs, "annihilated");
     EXPECT_GT(obs.empty_reports, empties);
     EXPECT_TRUE(obs.live.empty());

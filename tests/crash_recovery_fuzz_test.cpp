@@ -82,6 +82,51 @@ std::vector<CrashCall> make_crash_trace(std::uint64_t seed, std::size_t calls,
   return trace;
 }
 
+/// Append-only puts of fresh keys, then a mixed phase (updates and 30%
+/// erases of keys already written), then append-only again, with the same
+/// sync / checkpoint / flush_stage mix as make_crash_trace. The first and
+/// last thirds keep the feed append-only, so their checkpoints take the
+/// incremental branch and crash points land inside it; the mixed third
+/// drives the full-fold branch, and the last third starts from its
+/// stripped output.
+std::vector<CrashCall> make_phased_trace(std::uint64_t seed, std::size_t calls) {
+  Xoshiro256 rng(seed);
+  std::vector<CrashCall> trace;
+  trace.reserve(calls);
+  Key fresh = 0;
+  for (std::size_t i = 0; i < calls; ++i) {
+    const bool mixed = i >= calls / 3 && i < 2 * calls / 3;
+    CrashCall c;
+    const std::uint64_t pick = rng.below(100);
+    if (pick < 90) {
+      c.kind = CrashCall::Kind::kMutate;
+      const std::size_t n = pick < 40 ? 1 : 1 + rng.below(32);
+      c.ops.reserve(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        // Fresh keys arrive in scrambled order, so folds interleave them.
+        const Key old = static_cast<Key>(rng.below(fresh + 1));
+        if (!mixed) {
+          c.ops.push_back(Op<>::put(fresh++ * 0x9e3779b97f4a7c15ULL,
+                                    1 + rng.below(1u << 20)));
+        } else if (rng.below(100) < 30) {
+          c.ops.push_back(Op<>::del(old * 0x9e3779b97f4a7c15ULL));
+        } else {
+          c.ops.push_back(Op<>::put(old * 0x9e3779b97f4a7c15ULL,
+                                    1 + rng.below(1u << 20)));
+        }
+      }
+    } else if (pick < 95) {
+      c.kind = CrashCall::Kind::kSync;
+    } else if (pick < 97) {
+      c.kind = CrashCall::Kind::kCheckpoint;
+    } else {
+      c.kind = CrashCall::Kind::kFlushStage;
+    }
+    trace.push_back(std::move(c));
+  }
+  return trace;
+}
+
 std::string dump_trace(const std::vector<CrashCall>& trace) {
   std::ostringstream os;
   std::size_t shown = 0;
@@ -122,17 +167,21 @@ struct ArmConfig {
   bool oracle_truthful = true;   // the oracle asserts r >= durable watermark
   const char* name = "batch";
   unsigned compaction_threads = 0;  // > 0: deep folds on the background pool
+  // make_phased_trace instead of make_crash_trace, run at spill_depth 2
+  // with a small arena and frequent automatic checkpoints, so that the
+  // checkpoint's cascade spans levels below and past the spill depth.
+  bool phased = false;
 };
 
 DurableConfig fuzz_dict_config(const ArmConfig& arm) {
   DurableConfig cfg;
-  cfg.inner = cola::ingest_tuned(4, 64);
+  cfg.inner = cola::ingest_tuned(4, arm.phased ? 8 : 64);
   cfg.inner.compaction_threads = arm.compaction_threads;
   cfg.fsync_policy = arm.policy;
   cfg.group_commit_bytes = 4u << 10;
   cfg.wal_segment_bytes = 32u << 10;
-  cfg.checkpoint_wal_bytes = 64u << 10;
-  cfg.spill_depth = 1;
+  cfg.checkpoint_wal_bytes = arm.phased ? 16u << 10 : 64u << 10;
+  cfg.spill_depth = arm.phased ? 2 : 1;
   cfg.segment_block_bytes = 512;
   cfg.block_cache_bytes = 64u << 10;
   return cfg;
@@ -372,7 +421,8 @@ void run_arm(const ArmConfig& arm) {
     // A few lifecycles per seed: fresh traces keep crash points diverse.
     for (std::uint64_t round = 0; round < 6; ++round) {
       const std::uint64_t seed = s * 131 + round * 7919 + 1;
-      const std::vector<CrashCall> trace = make_crash_trace(seed, 500, 256);
+      const std::vector<CrashCall> trace =
+          arm.phased ? make_phased_trace(seed, 600) : make_crash_trace(seed, 500, 256);
       auto fail = run_crash_sessions(arm, seed, trace, cycles);
       if (!fail) continue;
       const std::vector<CrashCall> minimal =
@@ -410,6 +460,21 @@ TEST(CrashRecoveryFuzz, NoFsync) {
 TEST(CrashRecoveryFuzz, GroupCommitBackgroundCompaction) {
   run_arm({FsyncPolicy::kBatch, /*env_lies=*/false, /*oracle_truthful=*/true,
            "batch-bg1", /*compaction_threads=*/1});
+}
+
+// Incremental checkpoints: append-only phases take the incremental branch
+// (cascade the shallow levels, write what has no file, reference the
+// rest), the mixed phase the full fold, with crash points everywhere in
+// both — inline, and with deep folds pending on the pool when a
+// checkpoint drains them.
+TEST(CrashRecoveryFuzz, PhasedIncrementalCheckpoints) {
+  run_arm({FsyncPolicy::kBatch, /*env_lies=*/false, /*oracle_truthful=*/true,
+           "phased", /*compaction_threads=*/0, /*phased=*/true});
+}
+
+TEST(CrashRecoveryFuzz, PhasedIncrementalCheckpointsBackgroundCompaction) {
+  run_arm({FsyncPolicy::kBatch, /*env_lies=*/false, /*oracle_truthful=*/true,
+           "phased-bg1", /*compaction_threads=*/1, /*phased=*/true});
 }
 
 TEST(CrashRecoveryFuzz, GroupCommitLyingFsync) {

@@ -6,13 +6,19 @@
 // crash fuzz composes them.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dam/bounds.hpp"
 #include "storage/durable_dict.hpp"
 #include "storage/fault_env.hpp"
@@ -587,7 +593,7 @@ TEST(DurableDict, PersistsAcrossReopen) {
   d.check_invariants();
 }
 
-TEST(DurableDict, CheckpointCollectsWalAndSpillsFullState) {
+TEST(DurableDict, CheckpointCollectsWalAndCoversEverything) {
   FaultInjectionEnv env;
   DurableDictionary d(env, small_config());
   for (std::uint64_t i = 0; i < 2000; ++i) d.insert(i, i + 1);
@@ -918,12 +924,14 @@ TEST(DurableDict, MissingVouchedWalIsCorruptionNotTear) {
   }
 }
 
-// Test env wrapper: refuses segment-file creation while armed, everything
-// else passes through — the surgical fault for checkpoint-spill failure.
-class SegmentCreateFailEnv final : public StorageEnv {
+// Test env wrapper: refuses segment-file creation and/or file removal
+// while armed, everything else passes through — the surgical faults for a
+// failed spill or checkpoint write and for a refused collection.
+class RefusingEnv final : public StorageEnv {
  public:
-  explicit SegmentCreateFailEnv(StorageEnv& base) : base_(base) {}
+  explicit RefusingEnv(StorageEnv& base) : base_(base) {}
   bool fail_segment_creates = false;
+  bool fail_removes = false;
 
   std::unique_ptr<WritableFile> create(const std::string& name) override {
     if (fail_segment_creates && name.compare(0, 4, "seg-") == 0) {
@@ -940,6 +948,7 @@ class SegmentCreateFailEnv final : public StorageEnv {
     base_.rename_file(from, to);
   }
   void remove_file(const std::string& name) override {
+    if (fail_removes) throw IOError("injected: remove refused");
     base_.remove_file(name);
   }
   void truncate_file(const std::string& name, std::uint64_t size) override {
@@ -960,7 +969,7 @@ TEST(DurableDict, FailedAutomaticCheckpointDefersInsteadOfThrowing) {
   // stats/health and retried at the next window; an EXPLICIT checkpoint()
   // still throws.
   FaultInjectionEnv base;
-  SegmentCreateFailEnv env(base);
+  RefusingEnv env(base);
   auto cfg = small_config();
   cfg.checkpoint_wal_bytes = 1u << 12;  // auto-checkpoint early and often
   {
@@ -985,6 +994,324 @@ TEST(DurableDict, FailedAutomaticCheckpointDefersInsteadOfThrowing) {
   DurableDictionary d2(env, cfg);
   ASSERT_FALSE(d2.read_only());
   for (std::uint64_t i = 0; i < 2000; ++i) ASSERT_EQ(d2.find(i).value(), i + 2);
+}
+
+// ------------------------------------------------ incremental checkpoints --
+
+std::set<std::string> segment_files(StorageEnv& env) {
+  std::set<std::string> out;
+  for (const auto& name : env.list()) {
+    if (name.compare(0, 4, "seg-") == 0) out.insert(name);
+  }
+  return out;
+}
+
+/// The installed manifest; an empty one before the first install.
+Manifest installed_manifest(StorageEnv& env) {
+  std::optional<Manifest> m = load_manifest(env);
+  return m.has_value() ? std::move(*m) : Manifest{};
+}
+
+std::set<std::string> manifest_files(StorageEnv& env) {
+  std::set<std::string> out;
+  for (const auto& s : installed_manifest(env).segments) out.insert(s.name);
+  return out;
+}
+
+using SegIds = std::vector<std::pair<std::uint64_t, std::uint32_t>>;  // (id, level)
+
+SegIds manifest_segments(StorageEnv& env) {
+  SegIds out;
+  for (const auto& s : installed_manifest(env).segments) {
+    out.emplace_back(s.seg_id, s.level);
+  }
+  return out;
+}
+
+/// The in-memory segment set, oldest first: what a checkpoint must list.
+SegIds memory_segments(const DurableDictionary& d) {
+  SegIds out;
+  d.inner().for_each_segment([&](std::size_t level, const snap::Segment<>& seg) {
+    out.emplace_back(seg.id, static_cast<std::uint32_t>(level));
+  });
+  return out;
+}
+
+std::size_t wal_file_count(StorageEnv& env) {
+  std::size_t n = 0;
+  for (const auto& name : env.list()) {
+    std::uint64_t no;
+    if (wal_detail::parse_wal_name(name, no)) ++n;
+  }
+  return n;
+}
+
+TEST(DurableDict, RefusedRemoveNeverFailsADurableCheckpoint) {
+  // Once a checkpoint's manifest is installed the checkpoint has happened:
+  // covered_seqno moved and what the manifest dropped is garbage. A file
+  // that cannot be removed afterwards waits for the next collection — it
+  // must not turn the checkpoint into a failure: no throw from an explicit
+  // checkpoint(), no deferred failure on the automatic path, and no failed
+  // spill when a consumed spill file cannot go.
+  for (const bool automatic : {false, true}) {
+    SCOPED_TRACE(automatic ? "automatic" : "explicit");
+    FaultInjectionEnv base;
+    RefusingEnv env(base);
+    auto cfg = small_config();
+    if (automatic) cfg.checkpoint_wal_bytes = 1u << 12;
+    {
+      DurableDictionary d(env, cfg);
+      for (std::uint64_t i = 0; i < 1000; ++i) d.insert(i, i + 1);
+      env.fail_removes = true;
+      for (std::uint64_t i = 1000; i < 3000; ++i) {
+        ASSERT_NO_THROW(d.insert(i, i + 1)) << i;
+      }
+      if (!automatic) {
+        ASSERT_NO_THROW(d.checkpoint());
+        EXPECT_EQ(d.durable_seqno(), d.seqno());
+      }
+      EXPECT_GT(d.storage_stats().checkpoints, 0u);
+      EXPECT_EQ(d.storage_stats().checkpoint_failures, 0u);
+      EXPECT_TRUE(d.last_checkpoint_error().empty());
+      EXPECT_EQ(d.storage_stats().spill_failures, 0u);
+      EXPECT_GT(wal_file_count(env), 1u);  // the garbage did stay
+      // Heal the device: the next collection removes what stayed.
+      env.fail_removes = false;
+      d.checkpoint();
+      EXPECT_EQ(wal_file_count(env), 1u);
+      EXPECT_EQ(segment_files(env), manifest_files(env));
+    }
+    DurableDictionary d(env, cfg);
+    ASSERT_FALSE(d.read_only());
+    for (std::uint64_t i = 0; i < 3000; ++i) ASSERT_EQ(d.find(i).value(), i + 1);
+  }
+}
+
+TEST(DurableDict, SegmentFilesAreExactlyTheManifestLiveSet) {
+  // After every mutation, spill and checkpoint, the seg-* files on disk
+  // are exactly the ones the installed manifest lists: a consumed spill
+  // file goes as soon as the manifest that drops it is durable. After
+  // every checkpoint, explicit or automatic, the manifest lists exactly
+  // the in-memory segment set — ids and levels, oldest first — at
+  // covered_seqno = seqno. The feed is append-only, then mixed (updates
+  // and erases: the full-fold branch), then append-only again.
+  FaultInjectionEnv env;
+  auto cfg = small_config();
+  cfg.inner = cola::ingest_tuned(4, 16);
+  cfg.spill_depth = 2;
+  cfg.checkpoint_wal_bytes = 1u << 13;
+  std::map<Key, Value> model;
+  {
+    DurableDictionary d(env, cfg);
+    Xoshiro256 rng(7);
+    Key fresh = 0;
+    std::uint64_t checkpoints = 0;
+    const auto check = [&](const char* what, int call) {
+      ASSERT_EQ(segment_files(env), manifest_files(env)) << what << " " << call;
+      if (d.storage_stats().checkpoints == checkpoints) return;
+      checkpoints = d.storage_stats().checkpoints;
+      EXPECT_EQ(installed_manifest(env).covered_seqno, d.seqno()) << what << " " << call;
+      EXPECT_EQ(manifest_segments(env), memory_segments(d)) << what << " " << call;
+    };
+    for (int phase = 0; phase < 3; ++phase) {
+      for (int call = 0; call < 400; ++call) {
+        std::vector<Op<>> ops;
+        const std::size_t n = 1 + rng.below(24);
+        for (std::size_t j = 0; j < n; ++j) {
+          if (phase != 1) {
+            ops.push_back(Op<>::put(fresh++, rng()));
+          } else if (rng.below(3) == 0) {
+            ops.push_back(Op<>::del(rng.below(fresh)));
+          } else {
+            ops.push_back(Op<>::put(rng.below(fresh), rng()));
+          }
+        }
+        d.apply_batch(ops);
+        for (const Op<>& o : ops) {
+          if (o.erase) {
+            model.erase(o.key);
+          } else {
+            model[o.key] = o.value;
+          }
+        }
+        check("mutation", call);
+        if (call % 97 == 0) {
+          d.flush_stage();
+          check("flush_stage", call);
+        }
+        if (call % 131 == 0) {
+          d.checkpoint();
+          check("checkpoint", call);
+        }
+      }
+    }
+    EXPECT_GT(checkpoints, 10u);
+    EXPECT_GT(d.storage_stats().segments_retired, 0u);
+  }
+  DurableDictionary d(env, cfg);
+  ASSERT_FALSE(d.read_only());
+  std::size_t seen = 0;
+  d.for_each([&](Key k, Value v) {
+    ++seen;
+    ASSERT_EQ(model.at(k), v) << k;
+  });
+  EXPECT_EQ(seen, model.size());
+  EXPECT_EQ(segment_files(env), manifest_files(env));
+}
+
+TEST(DurableDict, FirstCheckpointAfterReopenWritesTheReplayedSegments) {
+  // Recovery replays the manifest's files into fresh in-memory segments —
+  // the spill observer attaches after replay — so none of them has a
+  // file. The generation's first checkpoint writes them all and drops the
+  // recovered files; the next one, with nothing new, writes no segment.
+  // Then a power cut: nothing acknowledged-durable is lost, no file leaks.
+  FaultInjectionEnv env;
+  auto cfg = small_config();
+  cfg.spill_depth = 2;
+  std::set<std::string> recovered;
+  {
+    DurableDictionary d(env, cfg);
+    for (std::uint64_t i = 0; i < 3000; ++i) d.insert(i, i + 7);
+    d.checkpoint();
+    recovered = segment_files(env);
+    ASSERT_FALSE(recovered.empty());
+  }
+  {
+    DurableDictionary d(env, cfg);
+    ASSERT_FALSE(d.read_only());
+    EXPECT_EQ(d.storage_stats().recovered_segment_entries, 3000u);
+    EXPECT_EQ(d.live_segment_files(), recovered.size());
+    for (std::uint64_t i = 3000; i < 4000; ++i) d.insert(i, i + 7);
+    d.checkpoint();
+    for (const std::string& name : recovered) {
+      EXPECT_FALSE(env.exists(name)) << name;
+    }
+    EXPECT_EQ(segment_files(env), manifest_files(env));
+    EXPECT_EQ(manifest_segments(env), memory_segments(d));
+    const std::uint64_t written = d.storage_stats().segments_spilled;
+    d.checkpoint();
+    EXPECT_EQ(d.storage_stats().segments_spilled, written);
+    for (std::uint64_t i = 4000; i < 4500; ++i) d.insert(i, i + 7);
+    d.sync();
+    env.schedule_crash_after(1);
+    EXPECT_THROW(env.list(), CrashError);
+  }
+  env.apply_crash();
+  DurableDictionary d(env, cfg);
+  ASSERT_FALSE(d.read_only());
+  EXPECT_EQ(d.last_recovered_seqno(), 4500u);
+  std::uint64_t seen = 0;
+  d.for_each([&](Key k, Value v) {
+    ASSERT_EQ(v, k + 7);
+    ++seen;
+  });
+  EXPECT_EQ(seen, 4500u);
+  EXPECT_EQ(segment_files(env), manifest_files(env));
+}
+
+TEST(DurableDict, FailedSpillIsWrittenByTheNextCheckpoint) {
+  // A spill whose write fails leaves its segment in memory without a file:
+  // the spiller counts the failure and moves on, and the WAL still covers
+  // the data. The next checkpoint writes every such segment.
+  FaultInjectionEnv base;
+  RefusingEnv env(base);
+  const auto cfg = small_config();
+  {
+    DurableDictionary d(env, cfg);
+    for (std::uint64_t i = 0; i < 1000; ++i) d.insert(i, i + 3);
+    env.fail_segment_creates = true;
+    for (std::uint64_t i = 1000; i < 2000; ++i) d.insert(i, i + 3);
+    EXPECT_GT(d.storage_stats().spill_failures, 0u);
+    env.fail_segment_creates = false;
+    d.checkpoint();
+    EXPECT_EQ(segment_files(env), manifest_files(env));
+    EXPECT_EQ(manifest_segments(env), memory_segments(d));
+  }
+  DurableDictionary d(env, cfg);
+  EXPECT_EQ(d.storage_stats().recovered_wal_records, 0u);
+  for (std::uint64_t i = 0; i < 2000; ++i) ASSERT_EQ(d.find(i).value(), i + 3);
+}
+
+TEST(DurableDict, RejectsAClassicInnerConfig) {
+  // Spills and checkpoints persist tiered segments; over classic levels the
+  // first checkpoint would cover the WAL with a manifest that lists
+  // nothing. The config is refused at construction, through
+  // make_dictionary's default (unstaged) geometry too.
+  FaultInjectionEnv env;
+  DurableConfig cfg;
+  cfg.inner = cola::ColaConfig{};
+  EXPECT_THROW(DurableDictionary(env, cfg), std::invalid_argument);
+  EXPECT_FALSE(env.exists(kManifestName));
+}
+
+TEST(DurableDict, CheckpointBytesDoNotGrowWithN) {
+  // Append-only ingest of N and 4N keys, a checkpoint every 7680 ops in
+  // both (a fixed checkpoint_wal_bytes at a fixed record size). The
+  // geometry mirrors the default store scaled down: the staging arena
+  // drains into level 3, the deepest level shallower than spill_depth 4.
+  // Every checkpoint writes at most what dam::checkpoint_transfer_bound
+  // charges an incremental checkpoint — the shallow levels' capacity plus
+  // the arena, whatever N is — plus the segment format's framing and the
+  // manifests it installs, and no segment that has a file is rewritten.
+  // Folds run inline, so the bytes inside checkpoint() are its own (a
+  // pending background fold would install there), and under kAlways the
+  // WAL is written at append, not at the checkpoint's sync.
+  const unsigned g = 8;
+  const std::size_t batch_hint = 16, spill_depth = 4, every = 7680;
+  const double staged = g * batch_hint;
+  const double entry_bytes = 17;  // one encoded segment entry
+  const double bound_bytes =
+      dam::checkpoint_transfer_bound(0, entry_bytes, every, 1.0, g,
+                                     static_cast<double>(spill_depth), staged,
+                                     /*full_fold=*/false) *
+      every;
+  EXPECT_EQ(bound_bytes, (1023 + staged) * entry_bytes);
+  for (const std::size_t n : {std::size_t{16384}, std::size_t{65536}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    FaultInjectionEnv env;
+    auto cfg = small_config();
+    cfg.inner = cola::ingest_tuned(g, batch_hint);
+    cfg.fsync_policy = FsyncPolicy::kAlways;
+    cfg.spill_depth = spill_depth;
+    DurableDictionary d(env, cfg);
+    std::vector<Entry<>> batch(8);
+    std::uint64_t k = 0;
+    std::size_t checkpoints = 0;
+    while (k < n) {
+      for (Entry<>& e : batch) {
+        e = {k * 0x9e3779b97f4a7c15ULL, k};
+        ++k;
+      }
+      d.insert_batch(batch);
+      if (k % every != 0) continue;
+      std::set<std::uint64_t> filed;
+      d.inner().for_each_segment([&](std::size_t level, const snap::Segment<>& s) {
+        if (level >= spill_depth) filed.insert(s.id);
+      });
+      const std::uint64_t bytes0 = env.stats().bytes_written;
+      const std::uint64_t files0 = d.storage_stats().segments_spilled;
+      d.checkpoint();
+      ++checkpoints;
+      const double bytes = static_cast<double>(env.stats().bytes_written - bytes0);
+      const double files =
+          static_cast<double>(d.storage_stats().segments_spilled - files0);
+      const double manifest = static_cast<double>(
+          env.open_read(kManifestName)->size());
+      // Framing: block headers and index entries (36 B per 512-byte block
+      // of 29 entries, under 1/8 of the entry bytes), magic and tail per
+      // file; one manifest per spill plus the checkpoint's own.
+      EXPECT_LE(bytes, bound_bytes * 9 / 8 + files * 64 + (files + 1) * manifest)
+          << "checkpoint " << checkpoints;
+      std::set<std::uint64_t> after;
+      d.inner().for_each_segment([&](std::size_t, const snap::Segment<>& s) {
+        after.insert(s.id);
+      });
+      for (const std::uint64_t id : filed) {
+        EXPECT_EQ(after.count(id), 1u) << "segment " << id << " rewritten";
+      }
+    }
+    EXPECT_EQ(checkpoints, n / every);
+  }
 }
 
 // ------------------------------------------------- DAM bound cross-check --
@@ -1023,9 +1350,32 @@ TEST(DamBounds, WalAndCheckpointBoundsBehave) {
   // More syncs per op can only raise the bound.
   EXPECT_LT(dam::wal_append_transfer_bound(100, 4096, 0.0),
             dam::wal_append_transfer_bound(100, 4096, 1.0));
-  // Bigger checkpoint intervals amortize better.
-  EXPECT_GT(dam::checkpoint_transfer_bound(1e6, 17, 1e3, 4096),
-            dam::checkpoint_transfer_bound(1e6, 17, 1e5, 4096));
+  const auto ckpt = [](double n, double ops, bool full_fold) {
+    return dam::checkpoint_transfer_bound(n, 17, ops, 4096, /*growth=*/8,
+                                          /*spill_depth=*/6,
+                                          /*staged_elems=*/8192, full_fold);
+  };
+  for (const bool full_fold : {false, true}) {
+    // Bigger checkpoint intervals amortize better, on either branch.
+    EXPECT_GT(ckpt(1e6, 1e3, full_fold), ckpt(1e6, 1e5, full_fold));
+  }
+  // An incremental checkpoint writes the same whatever n is; the full fold
+  // (the non-append-only branch) rewrites all n.
+  EXPECT_EQ(ckpt(1e6, 1e4, false), ckpt(1e9, 1e4, false));
+  EXPECT_LT(ckpt(1e6, 1e4, true), ckpt(1e9, 1e4, true));
+  EXPECT_LT(ckpt(1e6, 1e4, false), ckpt(1e6, 1e4, true));
+  // The shallow capacity is the sum of the shallow levels' real_cap: one
+  // element in level 0, 2(g-1)g^(l-1) in level l.
+  for (const double g : {2.0, 4.0, 8.0, 16.0}) {
+    double sum = 0;
+    for (int depth = 0; depth <= 7; ++depth) {
+      EXPECT_EQ(dam::cola_shallow_capacity(g, depth), sum) << g << " " << depth;
+      sum += depth == 0 ? 1.0 : 2.0 * (g - 1) * std::pow(g, depth - 1);
+    }
+  }
+  // The default durable geometry: 65535 shallow elements + an 8192-entry
+  // arena per 8 MiB checkpoint interval.
+  EXPECT_EQ(dam::cola_shallow_capacity(8, 6), 65535.0);
 }
 
 }  // namespace
