@@ -312,7 +312,7 @@ class Gcola {
 
   /// Complete and install any in-flight background fold (writer thread
   /// only, like every mutator). The quiesce point for checkpoints, shard
-  /// drains, bulk loads, and tests that assert on settled structure.
+  /// drains, adoption, and tests that assert on settled structure.
   void drain_compaction() {
     land_pending(/*block=*/true);
   }
@@ -634,59 +634,6 @@ class Gcola {
     stage_run_segs_.clear();
   }
 
-  /// Build from entries sorted ascending by strictly increasing key,
-  /// replacing the current contents. Places everything in the shallowest
-  /// level that fits (one sequential write, O(n/B) transfers) and rebuilds
-  /// the lookahead chain — the COLA analogue of a B-tree bulk load.
-  void bulk_load(const std::vector<Entry<K, V>>& sorted) {
-    // A bulk load replaces the contents wholesale: land any in-flight fold
-    // first so its segment refs release (then everything clears anyway).
-    drain_compaction();
-    ++mutation_epoch_;
-    levels_.clear();
-    stage_.clear();
-    stage_runs_.clear();
-    stage_run_min_.clear();
-    stage_run_max_.clear();
-    stage_run_segs_.clear();
-    next_base_ = 0;
-    stage_base_set_ = false;
-    bottom_relocated_ = false;
-    std::size_t t = 0;
-    while (real_cap(t) < sorted.size()) ++t;
-    ensure_level(t);
-    if (cfg_.tiered) {
-      Level& lv = levels_[t];
-      titem_run_.clear();
-      append_widened(sorted.data(), sorted.data() + sorted.size(), titem_run_);
-      clear_level(lv);
-      SegRef seg = new_segment(std::move(titem_run_.keys),
-                               std::move(titem_run_.vals),
-                               std::move(titem_run_.flags));
-      titem_run_.clear();
-      mm_.touch_write(seg->base_addr, seg->size() * sizeof(TItem));
-      lv.segs.assign(1, std::move(seg));
-      lv.seg_stale.assign(1, 0);
-      lv.tomb_count = 0;  // bulk loads carry no tombstones
-      lv.stale_count = 0;
-    } else {
-      std::vector<Slot> content;
-      content.reserve(sorted.size());
-      for (const Entry<K, V>& e : sorted) {
-        Slot s{};
-        s.key = e.key;
-        s.value = e.value;
-        content.push_back(s);
-      }
-      write_level(t, content);
-      for (std::size_t l = t; l-- > 1;) rebuild_lookahead(l);
-    }
-    levels_[t].real_count = sorted.size();
-    // Mark the level full so future merges cascade past it correctly.
-    levels_[t].fills = cfg_.growth - 1;
-    stats_.entries_merged += sorted.size();
-  }
-
   // -- durable-tier hooks -----------------------------------------------------
 
   /// Observer of tiered folds landing at or past the spill depth: the
@@ -718,14 +665,45 @@ class Gcola {
     spill_depth_ = spill_depth;
   }
 
-  /// Segment-id counter (durable tier: recovery seeds it past every id the
-  /// manifest has seen so fresh ids never collide with on-disk names).
-  /// Monotone: the counter never rewinds below ids already handed out in
-  /// this process — a rewind would mint duplicate ids, and a duplicate
-  /// reported as consumed retires an unrelated live on-disk segment.
+  /// Segment-id counter: the id the next fold output gets. adopt() moves it
+  /// past every adopted id and never rewinds it — a rewind would mint
+  /// duplicate ids, and a duplicate reported as consumed retires an
+  /// unrelated live on-disk segment.
   std::uint64_t next_seg_id() const noexcept { return next_seg_id_; }
-  void set_next_seg_id(std::uint64_t id) noexcept {
-    next_seg_id_ = std::max(next_seg_id_, id);
+
+  /// Adopt an immutable sorted run — keys strictly ascending, tombstones
+  /// flagged — as one segment under `id`, OLDER than everything the
+  /// structure holds: the durable tier's reopen, which walks its manifest
+  /// newest first. The segment lands at the shallowest level at or past
+  /// max(`min_level`, the deepest level holding data) that has fewer than
+  /// g-1 segments and room for it, spliced in as that level's oldest, so
+  /// nothing is copied or merged, content-age order holds, and the
+  /// geometry's invariants hold whatever level the run was written at (or
+  /// whatever growth factor it was written under). Its filter and fences
+  /// are minted here; the id counter moves past `id`. Reports nothing to
+  /// the fold observer: no fold happened. Tiered mode only.
+  void adopt(std::vector<K>&& keys, std::vector<V>&& vals,
+             std::vector<std::uint8_t>&& flags, std::uint64_t id,
+             std::size_t min_level) {
+    if (!cfg_.tiered) throw std::logic_error("cola: adopt needs tiered levels");
+    if (keys.empty()) return;
+    drain_compaction();
+    ++mutation_epoch_;
+    std::size_t l = std::max(min_level, deepest_nonempty());
+    for (;; ++l) {
+      ensure_level(l);
+      if (levels_[l].segs.size() + 1 < cfg_.growth &&
+          levels_[l].real_count + keys.size() <= real_cap(l)) {
+        break;
+      }
+    }
+    const std::uint64_t base = next_base_;
+    next_base_ += keys.size() * sizeof(TItem);
+    next_seg_id_ = std::max(next_seg_id_, id + 1);
+    SegRef seg = snap::make_segment(std::move(keys), std::move(vals), std::move(flags),
+                                    id, base, mutation_epoch_, cfg_.filters);
+    mm_.touch_write(base, seg->size() * sizeof(TItem));
+    splice_segment(l, 0, std::move(seg));
   }
 
   /// Settle everything at `min_target` or deeper — the checkpoint
@@ -764,9 +742,9 @@ class Gcola {
 
   /// Visit every installed tiered segment as fn(level, segment) in
   /// content-age order, oldest first: deepest level first and, within a
-  /// level, oldest segment first — the order a durable manifest lists and
-  /// recovery replays. A pending background fold's inputs are not visited
-  /// (drain_compaction() first for the whole set). Read-only.
+  /// level, oldest segment first — the order a durable manifest lists (and
+  /// reopen adopts in reverse). A pending background fold's inputs are not
+  /// visited (drain_compaction() first for the whole set). Read-only.
   template <class Fn>
   void for_each_segment(Fn&& fn) const {
     for (std::size_t l = levels_.size(); l-- > 0;) {
@@ -1042,10 +1020,17 @@ class Gcola {
 
   // -- geometry ---------------------------------------------------------------
 
+  /// Saturates at the largest std::uint64_t: a level that deep never fills
+  /// (adopt() can be asked for one by a recorded level from another
+  /// geometry).
   std::uint64_t real_cap(std::size_t l) const noexcept {
     if (l == 0) return 1;
+    const std::uint64_t most = std::numeric_limits<std::uint64_t>::max() / cfg_.growth;
     std::uint64_t c = 2 * (cfg_.growth - 1);
-    for (std::size_t i = 1; i < l; ++i) c *= cfg_.growth;
+    for (std::size_t i = 1; i < l; ++i) {
+      if (c > most) return std::numeric_limits<std::uint64_t>::max();
+      c *= cfg_.growth;
+    }
     return c;
   }
 
@@ -1987,14 +1972,7 @@ class Gcola {
                        std::vector<std::uint64_t>& consumed, std::uint64_t stale_est) {
     const Seg* s = seg.get();
     if (s != nullptr) {
-      Level& lv = levels_[l];
-      assert(lv.real_count + s->size() <= real_cap(l));
-      lv.tomb_count += s->tombs;
-      lv.segs.insert(lv.segs.begin() + static_cast<std::ptrdiff_t>(pos), std::move(seg));
-      lv.seg_stale.insert(lv.seg_stale.begin() + static_cast<std::ptrdiff_t>(pos), 0);
-      lv.real_count += s->size();
-      lv.fills = static_cast<std::uint32_t>(
-          std::min<std::size_t>(lv.segs.size(), cfg_.growth - 1));
+      splice_segment(l, pos, std::move(seg));
       stats_.entries_merged += s->size();
     }
     // Consumed ids come from levels in [spill_depth_, l], so a fold that
@@ -2030,6 +2008,20 @@ class Gcola {
     if (d > l && s->size() * 4 >= levels_[d].real_count) {
       add_staleness(d, s->min_key, s->max_key, stale_est, /*exclude_tail=*/0);
     }
+  }
+
+  /// Level bookkeeping for one arriving segment — install and adopt's
+  /// shared structural step: splice `seg` into level l at index `pos`
+  /// (segments below pos are older) with no staleness credited.
+  void splice_segment(std::size_t l, std::size_t pos, SegRef seg) {
+    Level& lv = levels_[l];
+    assert(lv.real_count + seg->size() <= real_cap(l));
+    lv.tomb_count += seg->tombs;
+    lv.real_count += seg->size();
+    lv.segs.insert(lv.segs.begin() + static_cast<std::ptrdiff_t>(pos), std::move(seg));
+    lv.seg_stale.insert(lv.seg_stale.begin() + static_cast<std::ptrdiff_t>(pos), 0);
+    lv.fills = static_cast<std::uint32_t>(
+        std::min<std::size_t>(lv.segs.size(), cfg_.growth - 1));
   }
 
   /// Collect into `out` the seg_ids of every segment in levels

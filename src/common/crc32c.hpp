@@ -1,7 +1,7 @@
 // CRC32C (Castagnoli, reflected polynomial 0x82f63b78) — the shared
-// integrity checksum for every durable byte in the library: snapshot
-// buffers (api/serialize.hpp), WAL records, segment-file blocks, and the
-// manifest (src/storage/). One implementation so the formats cannot drift.
+// integrity checksum for every durable byte in the library: WAL records,
+// segment-file blocks and indexes, and the manifest (src/storage/). One
+// implementation so the formats cannot drift.
 //
 // Software path is slicing-by-8 over compile-time tables (constexpr, no
 // global constructors); with -msse4.2 the hardware CRC32 instruction takes

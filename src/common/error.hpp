@@ -1,4 +1,4 @@
-// Typed error hierarchy for the durable tier and the serialization layer.
+// Typed error hierarchy for the durable tier.
 //
 // The split matters operationally: CorruptionError means bytes failed an
 // integrity check (a CRC, magic, or structural validation) — retrying will

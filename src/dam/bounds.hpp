@@ -205,15 +205,16 @@ inline double cola_shallow_capacity(double growth, double depth) noexcept {
 /// would have: that drain is the insert bound's, not the checkpoint's.
 /// One-offs write more: what a trivial move carried across the spill
 /// depth while the store first grew past it (a level's worth), a spill
-/// whose write failed, and the replayed state, which the first checkpoint
-/// after a reopen rewrites once. Only when the feed since the last full
-/// fold was not append-only (`full_fold`: a tombstone logged or a
-/// duplicate dropped) does the checkpoint fold all n elements into one
-/// segment. Spread over the interval, each operation carries written *
-/// entry_bytes / (ops_per_checkpoint * B) transfers of checkpoint traffic
-/// — the term to add to wal_append_transfer_bound for the durable tier's
-/// total write amplification; the manifest, ~40 bytes per live segment,
-/// adds a block or two per checkpoint.
+/// whose write failed, and what the folds of a reopen's WAL tail produced;
+/// the segment files a reopen adopts are referenced like any other. Only
+/// when the feed since the last full fold was not append-only
+/// (`full_fold`: a tombstone logged or a duplicate dropped) does the
+/// checkpoint fold all n elements into one segment. Spread over the
+/// interval, each operation carries written * entry_bytes /
+/// (ops_per_checkpoint * B) transfers of checkpoint traffic — the term to
+/// add to wal_append_transfer_bound for the durable tier's total write
+/// amplification; the manifest, ~40 bytes per live segment, adds a block
+/// or two per checkpoint.
 inline double checkpoint_transfer_bound(double n, double entry_bytes,
                                         double ops_per_checkpoint,
                                         double block_bytes, double growth,

@@ -23,44 +23,51 @@
 // already on disk are referenced, never rewritten, so a checkpoint costs
 // O(shallow levels + segments without a file), not O(N). Segments without
 // a file at spill_depth or deeper come from a trivial move across
-// spill_depth, a spill whose write failed, and every segment recovery
-// replays (the observer attaches after replay, so the first checkpoint of
-// a process generation rewrites the replayed state once and drops the
-// recovered files). When the feed since the last full fold was not
-// append-only — a tombstone logged or a duplicate dropped by a fold — the
-// checkpoint instead folds EVERYTHING into one stripped segment first:
-// the full fold is the garbage collector that bounds on-disk dead mass.
-// Files the new manifest no longer lists, and WAL files older than the new
-// epoch, are deleted once it is durable, best-effort: a file that cannot
-// be removed is garbage the next collection retries.
+// spill_depth, a spill whose write failed, and the folds of a reopen's WAL
+// tail (the observer attaches after it). When the feed since the last
+// full fold was not append-only — a tombstone logged, adopted or replayed,
+// or a duplicate dropped by a fold — the checkpoint instead folds
+// EVERYTHING into one stripped segment first: the full fold is the garbage
+// collector that bounds on-disk dead mass. Files the new manifest no
+// longer lists, and WAL files older than the new epoch, are deleted once
+// it is durable, best-effort: a file that cannot be removed is garbage the
+// next collection retries.
 //
 // A size-triggered checkpoint that fails is DEFERRED, not thrown: the
 // mutation that tripped it already succeeded (WAL + memory + seqno), so
 // the failure lands in stats.checkpoint_failures / last_checkpoint_error()
 // and the next window retries. Only an explicit checkpoint() call throws.
 //
-// Recovery (the constructor) replays manifest -> segments (in manifest
-// order, which is content-age order, so newest-wins replay reconstructs
-// the merge view) -> WAL tail (records past covered_seqno,
-// torn tails truncated). The segment-id counter is seeded past every
-// manifest-live id BEFORE replay so replay-minted in-memory segment ids
-// never collide with on-disk ones, and replay must reach the
-// manifest-vouched durable seqno — falling short means acknowledged
-// records were destroyed, not torn. That, or any missing/corrupt state,
-// degrades to READ-ONLY mode — reads serve whatever was recovered,
-// mutations throw ReadOnlyError — unless cfg.strict, which throws
-// instead. Never UB.
+// Recovery (the constructor) adopts the manifest's segment files, then
+// replays the WAL tail (records past covered_seqno, torn tails truncated).
+// Adoption decodes each listed file straight into an in-memory segment and
+// installs it under its manifest id (Gcola::adopt), newest first, at the
+// shallowest level at or past max(its recorded level, spill_depth, the
+// deepest level adopted so far) with a free segment slot and room.
+// Recorded levels are a floor, not a placement: a trivial move relocates a
+// spilled segment without telling the spiller, and a reopen may run a
+// different growth factor or spill depth. Adoption copies nothing, keeps
+// content-age order, keeps every file-backed segment at or past
+// spill_depth (where folds report the files they consume), and moves the
+// segment-id counter past every adopted id, so no fold of the WAL tail
+// mints an id an on-disk file has; the next checkpoint references the
+// adopted files instead of rewriting them. A file whose entry count is not
+// the manifest's is corrupt, and replay must reach the manifest-vouched
+// durable seqno — falling short means acknowledged records were destroyed,
+// not torn. That, or any missing/corrupt state, degrades to READ-ONLY
+// mode — reads serve whatever was recovered, mutations throw
+// ReadOnlyError — unless cfg.strict, which throws instead. Never UB.
 //
 // Correctness of the always-installed manifest: a spill's manifest keeps
 // the OLD covered_seqno and appends its segment after every file it keeps,
 // and each kept file holding covered data is older than the new segment,
 // so the list stays in content-age order for the covered prefix; content
-// past covered_seqno is also in the WAL tail, and replaying the segments
-// first and the (in-seqno-order) WAL tail after converges to the
-// pre-crash state because the last operation on a key wins. A file leaves
-// a manifest only once the manifest replacing it lists files holding all
-// of its live content. covered_seqno advances ONLY in a checkpoint's
-// manifest, after every in-memory segment has a synced file.
+// past covered_seqno is also in the WAL tail, and adopting the segments
+// in list order and replaying the (in-seqno-order) WAL tail over them
+// converges to the pre-crash state because the last operation on a key
+// wins. A file leaves a manifest only once the manifest replacing it lists
+// files holding all of its live content. covered_seqno advances ONLY in a
+// checkpoint's manifest, after every in-memory segment has a synced file.
 #pragma once
 
 #include <algorithm>
@@ -106,7 +113,6 @@ struct DurableConfig {
   // for tests that want spills often.
   std::size_t spill_depth = 6;
   std::size_t segment_block_bytes = 4096;
-  std::size_t block_cache_bytes = 1u << 20;
   // Strict mode: throw CorruptionError from recovery instead of degrading
   // to read-only.
   bool strict = false;
@@ -127,6 +133,7 @@ struct DurableStats {
   // Segment files written, by spills and by checkpoints.
   std::uint64_t segments_spilled = 0;
   std::uint64_t segments_retired = 0;
+  // Entries of the segment files the last open adopted.
   std::uint64_t recovered_segment_entries = 0;
   std::uint64_t recovered_wal_records = 0;
   bool wal_tail_torn = false;
@@ -166,6 +173,7 @@ class DurableDictionary {
   }
 
   void erase_batch(Span<Key> keys) {
+    WalWriter::check_record_entries(keys.size());  // before a key is read
     st_->ops_scratch.clear();
     st_->ops_scratch.reserve(keys.size());
     for (const Key& k : keys) st_->ops_scratch.push_back(Op<>::del(k));
@@ -339,15 +347,14 @@ class DurableDictionary {
     Spiller spiller;
     std::unique_ptr<WalWriter> wal;
     std::vector<SegmentMeta> live;
-    BlockCache cache;
     std::uint64_t seqno = 0;
     std::uint64_t covered_seqno = 0;
     std::uint64_t next_wal_no = 0;
     std::uint64_t last_recovered_seqno = 0;
     std::uint64_t wal_bytes_at_checkpoint = 0;
     // The feed since the last full fold, as the checkpoint's garbage
-    // collector reads it: a tombstone was logged (or replayed), and the
-    // inner duplicates_dropped counter at that fold.
+    // collector reads it: a tombstone was logged (or adopted or replayed),
+    // and the inner duplicates_dropped counter at that fold.
     bool tombstone_seen = false;
     std::uint64_t dups_at_full_fold = 0;
     bool read_only = false;
@@ -362,8 +369,7 @@ class DurableDictionary {
         : owned_env(std::move(owned)),
           env(&borrowed),
           cfg(c),
-          inner(tiered_only(c.inner)),
-          cache(c.block_cache_bytes) {
+          inner(tiered_only(c.inner)) {
       spiller.st = this;
       recover();
     }
@@ -372,8 +378,7 @@ class DurableDictionary {
         : owned_env(std::move(owned)),
           env(owned_env.get()),
           cfg(c),
-          inner(tiered_only(c.inner)),
-          cache(c.block_cache_bytes) {
+          inner(tiered_only(c.inner)) {
       spiller.st = this;
       recover();
     }
@@ -560,11 +565,10 @@ class DurableDictionary {
       }
     }
 
-    /// Rebuild memory from disk: manifest -> segments -> WAL tail. See the
-    /// file header for the protocol and the degradation rules.
+    /// Rebuild memory from disk: manifest -> adopted segments -> WAL tail.
+    /// See the file header for the protocol and the degradation rules.
     void recover() {
       try {
-        std::uint64_t max_seg_id = 0;
         // The durable-WAL boundary this recovery can vouch for: what the
         // manifest proved fsynced at install time (0 with no manifest —
         // then every CRC break is classified as a tear, which is the only
@@ -576,17 +580,9 @@ class DurableDictionary {
           wal_durable = std::max(mopt->covered_seqno, mopt->durable_seqno);
           next_wal_no = mopt->next_file_no;
           live = std::move(mopt->segments);
-          for (const auto& s : live) {
-            max_seg_id = std::max(max_seg_id, s.seg_id);
-          }
-          // Seed the in-memory segment-id counter past every manifest-live
-          // id BEFORE any replay apply_batch runs: replay mints in-memory
-          // segment ids, and an id shared with an on-disk segment would be
-          // reported as consumed by the first post-recovery fold past
-          // spill_depth — wrongly retiring (and then gc'ing) the live file,
-          // which loses the covered prefix once the WAL no longer holds it.
-          inner.set_next_seg_id(max_seg_id + 1);
-          for (const auto& s : live) replay_segment(s);
+          // Newest first: each segment is older than everything adopted
+          // before it.
+          for (auto s = live.rbegin(); s != live.rend(); ++s) adopt(*s);
         }
         const WalReplayResult wres = replay_wal(
             *env, covered_seqno, wal_durable, cfg.strict,
@@ -643,23 +639,25 @@ class DurableDictionary {
       }
     }
 
-    void replay_segment(const SegmentMeta& s) {
-      SegmentReader r(*env, s.name, s.seg_id, &cache);
-      replay_scratch.clear();
-      r.for_each_raw([&](const SegmentEntry& e) {
-        const bool del = (e.flags & kEntryTombstone) != 0;
-        tombstone_seen = tombstone_seen || del;
-        replay_scratch.push_back(del ? Op<>::del(e.key)
-                                     : Op<>::put(e.key, e.value));
-        if (replay_scratch.size() >= 4096) {
-          inner.apply_batch(replay_scratch);
-          stats.recovered_segment_entries += replay_scratch.size();
-          replay_scratch.clear();
-        }
-      });
-      inner.apply_batch(replay_scratch);
-      stats.recovered_segment_entries += replay_scratch.size();
-      replay_scratch.clear();
+    /// Decode one manifest-listed file straight into a segment and install
+    /// it under its manifest id below everything adopted so far, no
+    /// shallower than its recorded level or spill_depth (Gcola::adopt). A
+    /// missing file throws the env's IOError; a corrupt one, or one whose
+    /// entry count is not the manifest's, throws CorruptionError.
+    void adopt(const SegmentMeta& s) {
+      SegmentPlanes p = read_segment_file(*env, s.name);
+      if (p.keys.size() != s.count) {
+        throw CorruptionError("segment " + s.name + ": holds " +
+                              std::to_string(p.keys.size()) +
+                              " entries, the manifest lists " +
+                              std::to_string(s.count));
+      }
+      stats.recovered_segment_entries += s.count;
+      tombstone_seen = tombstone_seen ||
+                       std::find(p.flags.begin(), p.flags.end(),
+                                 kPlaneTombstone) != p.flags.end();
+      inner.adopt(std::move(p.keys), std::move(p.vals), std::move(p.flags),
+                  s.seg_id, std::max<std::size_t>(s.level, cfg.spill_depth));
     }
 
     void degrade(const std::string& why) {

@@ -22,8 +22,12 @@
 // Segments are listed in content-age order, oldest first: a checkpoint
 // lists the deepest level first and each level's oldest segment first, and
 // a spill appends its segment, the newest, after every file it keeps. So
-// replaying them in list order with newest-wins semantics reconstructs the
-// exact pre-crash merge view.
+// adopting them newest first, each below everything adopted before it
+// (Gcola::adopt), reconstructs the exact pre-crash merge view. A segment's
+// level is the one it had when the manifest was written — a spill's
+// manifest is not rewritten when a later trivial move relocates the
+// segment — so reopen reads it as a floor, not a placement; its count is
+// checked against the file's.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +45,9 @@ namespace costream::storage {
 inline constexpr std::uint64_t kManifestMagic = 0x434f534d414e3031ULL;  // COSMAN01
 inline constexpr const char* kManifestName = "MANIFEST";
 inline constexpr const char* kManifestTmpName = "MANIFEST.tmp";
+// No COLA geometry has this many levels: at g >= 2 the last one alone would
+// hold more than 2^64 entries. A recorded level at or past it is corrupt.
+inline constexpr std::uint32_t kManifestLevelLimit = 64;
 
 struct SegmentMeta {
   std::string name;
@@ -133,6 +140,9 @@ inline Manifest decode_manifest(const std::string& data) {
     s.level = manifest_detail::get_u32(data.data() + off + 8);
     s.count = manifest_detail::get_u64(data.data() + off + 12);
     off += 20;
+    if (s.level >= kManifestLevelLimit) {
+      throw CorruptionError("manifest: level out of range");
+    }
     m.segments.push_back(std::move(s));
   }
   if (off != data.size() - 4) throw CorruptionError("manifest: trailing bytes");

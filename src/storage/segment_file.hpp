@@ -1,5 +1,6 @@
 // Immutable checksummed segment spill files — the on-disk form of one
-// sorted Gcola segment once a fold past spill_depth lands it on storage.
+// sorted Gcola segment once a fold past spill_depth (or a checkpoint) lands
+// it on storage, and the form reopen adopts back into memory.
 //
 // Layout:
 //   [u64 magic "COSSEG01"]
@@ -9,27 +10,25 @@
 //                u64 total_count, u64 magic }
 //
 // Entries are strictly ascending by key across the whole file; flags bit0
-// marks a tombstone. The per-block (min_key, max_key) fences in the footer
-// are the disk analogue of the in-memory fence-key vectors: a cursor seek
-// binary-searches the fences and decodes only the one block that can hold
-// the key. Blocks are decoded through a shared LRU BlockCache so repeated
-// seeks into a hot block cost zero device reads.
+// marks a tombstone. The blocks follow one another with no gaps, and the
+// per-block (min_key, max_key) fences in the footer must equal each
+// block's first and last key.
 //
-// Every read path validates CRCs and structure before trusting a byte;
+// A file is only ever read whole: reopen decodes it in one pass into the
+// key/value/flag planes of an in-memory segment (read_segment_file), which
+// validates every CRC and every structural claim before trusting a byte;
 // any mismatch throws CorruptionError (never UB on a bit-flipped file).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <list>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/crc32c.hpp"
+#include "common/snapshot.hpp"
 #include "storage/env.hpp"
 
 namespace costream::storage {
@@ -43,6 +42,9 @@ struct SegmentEntry {
 };
 
 inline constexpr std::uint8_t kEntryTombstone = 1;
+// The in-memory segment's tombstone flag (snap::Item), which decoded planes
+// carry in place of the file's bit0.
+inline constexpr std::uint8_t kPlaneTombstone = snap::Item<>::kFlagTombstone;
 
 namespace seg_detail {
 
@@ -141,8 +143,6 @@ class SegmentWriter {
     file_->sync();
   }
 
-  std::uint64_t total_count() const noexcept { return total_count_; }
-
  private:
   struct BlockMeta {
     std::uint64_t offset;
@@ -206,275 +206,91 @@ class SegmentWriter {
   std::uint64_t total_count_ = 0;
 };
 
-/// Shared LRU cache of decoded blocks, keyed by (file id, block index),
-/// bounded by decoded byte size. Blocks are immutable shared_ptrs, so a
-/// cursor keeps its block alive even across eviction.
-class BlockCache {
- public:
-  using Block = std::vector<SegmentEntry>;
-  using Key = std::pair<std::uint64_t, std::uint32_t>;
-
-  explicit BlockCache(std::size_t capacity_bytes = 1u << 20)
-      : capacity_(capacity_bytes) {}
-
-  std::shared_ptr<const Block> find(const Key& k) {
-    auto it = map_.find(k);
-    if (it == map_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second.where);
-    return it->second.block;
-  }
-
-  void insert(const Key& k, std::shared_ptr<const Block> block) {
-    if (map_.count(k) != 0) return;
-    const std::size_t bytes = block->size() * sizeof(SegmentEntry);
-    lru_.push_front(k);
-    map_.emplace(k, Slot{std::move(block), lru_.begin()});
-    used_ += bytes;
-    while (used_ > capacity_ && !lru_.empty()) {
-      const Key victim = lru_.back();
-      auto vit = map_.find(victim);
-      used_ -= vit->second.block->size() * sizeof(SegmentEntry);
-      map_.erase(vit);
-      lru_.pop_back();
-    }
-  }
-
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
-
- private:
-  struct Slot {
-    std::shared_ptr<const Block> block;
-    std::list<Key>::iterator where;
-  };
-
-  std::size_t capacity_;
-  std::size_t used_ = 0;
-  std::list<Key> lru_;
-  std::map<Key, Slot> map_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+/// One segment file decoded into the in-memory segment's plane layout:
+/// keys strictly ascending, vals[i] belonging to keys[i], and flags[i]
+/// carrying snap::Item's tombstone bit — ready to move into a
+/// snap::Segment without another copy.
+struct SegmentPlanes {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> vals;
+  std::vector<std::uint8_t> flags;
 };
 
-/// Read-side view of one segment file: footer index held in memory,
-/// blocks decoded on demand through the BlockCache, validated end to end.
-class SegmentReader {
- public:
-  SegmentReader(StorageEnv& env, const std::string& name,
-                std::uint64_t cache_file_id, BlockCache* cache)
-      : file_(env.open_read(name)),
-        name_(name),
-        cache_file_id_(cache_file_id),
-        cache_(cache) {
-    const std::uint64_t fsize = file_->size();
-    if (fsize < 8 + seg_detail::kTailBytes) {
-      throw CorruptionError("segment " + name + ": file too small");
-    }
-    char head[8];
-    read_fully(*file_, 0, head, 8);
-    if (seg_detail::get_u64(head) != kSegmentMagic) {
-      throw CorruptionError("segment " + name + ": bad magic");
-    }
-    char tail[seg_detail::kTailBytes];
-    read_fully(*file_, fsize - seg_detail::kTailBytes, tail,
-               seg_detail::kTailBytes);
-    if (seg_detail::get_u64(tail + 24) != kSegmentMagic) {
-      throw CorruptionError("segment " + name + ": bad tail magic");
-    }
-    const std::uint64_t index_offset = seg_detail::get_u64(tail);
-    const std::uint32_t index_crc = seg_detail::get_u32(tail + 8);
-    const std::uint32_t block_count = seg_detail::get_u32(tail + 12);
-    total_count_ = seg_detail::get_u64(tail + 16);
-    const std::uint64_t index_bytes =
-        static_cast<std::uint64_t>(block_count) * seg_detail::kIndexEntryBytes;
-    if (index_offset < 8 ||
-        index_offset + index_bytes + seg_detail::kTailBytes != fsize) {
-      throw CorruptionError("segment " + name + ": inconsistent footer");
-    }
-    std::string index(static_cast<std::size_t>(index_bytes), '\0');
-    if (index_bytes > 0) read_fully(*file_, index_offset, index.data(), index.size());
-    if (crc32c(index.data(), index.size()) != index_crc) {
-      throw CorruptionError("segment " + name + ": index CRC mismatch");
-    }
-    blocks_.reserve(block_count);
-    std::uint64_t counted = 0;
-    for (std::uint32_t i = 0; i < block_count; ++i) {
-      const char* p = index.data() + i * seg_detail::kIndexEntryBytes;
-      BlockMeta m{seg_detail::get_u64(p), seg_detail::get_u32(p + 8),
-                  seg_detail::get_u64(p + 12), seg_detail::get_u64(p + 20)};
-      if (m.offset < 8 || m.offset >= index_offset || m.count == 0 ||
-          m.min_key > m.max_key ||
-          (!blocks_.empty() && m.min_key <= blocks_.back().max_key)) {
-        throw CorruptionError("segment " + name + ": invalid block index");
-      }
-      counted += m.count;
-      blocks_.push_back(m);
-    }
-    if (counted != total_count_) {
-      throw CorruptionError("segment " + name + ": entry count mismatch");
-    }
-  }
-
-  std::uint64_t total_count() const noexcept { return total_count_; }
-  std::size_t block_count() const noexcept { return blocks_.size(); }
-  std::uint64_t min_key() const { return blocks_.empty() ? 0 : blocks_.front().min_key; }
-  std::uint64_t max_key() const { return blocks_.empty() ? 0 : blocks_.back().max_key; }
-
-  /// Decode block `bi`, via the cache when one is attached.
-  std::shared_ptr<const BlockCache::Block> load_block(std::uint32_t bi) {
-    const BlockCache::Key key{cache_file_id_, bi};
-    if (cache_ != nullptr) {
-      if (auto hit = cache_->find(key)) return hit;
-    }
-    const BlockMeta& m = blocks_[bi];
-    const std::size_t body_bytes = m.count * seg_detail::kEntryBytes;
-    std::string raw(seg_detail::kBlockHeaderBytes + body_bytes, '\0');
-    read_fully(*file_, m.offset, raw.data(), raw.size());
-    const std::uint32_t crc = seg_detail::get_u32(raw.data());
-    const std::uint32_t count = seg_detail::get_u32(raw.data() + 4);
-    const char* body = raw.data() + seg_detail::kBlockHeaderBytes;
-    if (count != m.count || crc32c(body, body_bytes) != crc) {
-      throw CorruptionError("segment " + name_ + ": block CRC mismatch");
-    }
-    auto block = std::make_shared<BlockCache::Block>();
-    block->reserve(m.count);
-    std::uint64_t prev = 0;
-    for (std::uint32_t i = 0; i < m.count; ++i, body += seg_detail::kEntryBytes) {
-      SegmentEntry e{seg_detail::get_u64(body), seg_detail::get_u64(body + 8),
-                     static_cast<std::uint8_t>(body[16])};
-      if (i > 0 && e.key <= prev) {
-        throw CorruptionError("segment " + name_ + ": unsorted block");
-      }
-      prev = e.key;
-      block->push_back(e);
-    }
-    if (block->front().key != m.min_key || block->back().key != m.max_key) {
-      throw CorruptionError("segment " + name_ + ": fence/block mismatch");
-    }
-    if (cache_ != nullptr) cache_->insert(key, block);
-    return block;
-  }
-
-  /// Forward cursor with fence-key accelerated seeks, matching the
-  /// in-memory cursor contract (seek / next / valid / entry). With
-  /// `suppress_tombstones` (the read-path default) deleted keys are
-  /// skipped; recovery iterates raw to preserve newest-wins replay.
-  class Cursor {
-   public:
-    Cursor(SegmentReader& r, bool suppress_tombstones)
-        : r_(&r), suppress_(suppress_tombstones) {}
-
-    /// Position at the first entry with key >= `key`.
-    void seek(std::uint64_t key) {
-      // Fences prune to the single candidate block: the first block whose
-      // max_key admits the key.
-      std::size_t lo = 0, hi = r_->blocks_.size();
-      while (lo < hi) {
-        const std::size_t mid = (lo + hi) / 2;
-        if (r_->blocks_[mid].max_key < key) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo == r_->blocks_.size()) {
-        invalidate();
-        return;
-      }
-      bi_ = static_cast<std::uint32_t>(lo);
-      block_ = r_->load_block(bi_);
-      i_ = static_cast<std::size_t>(
-          std::lower_bound(block_->begin(), block_->end(), key,
-                           [](const SegmentEntry& e, std::uint64_t k) {
-                             return e.key < k;
-                           }) -
-          block_->begin());
-      settle();
-    }
-
-    void seek_first() {
-      if (r_->blocks_.empty()) {
-        invalidate();
-        return;
-      }
-      bi_ = 0;
-      block_ = r_->load_block(0);
-      i_ = 0;
-      settle();
-    }
-
-    void next() {
-      ++i_;
-      settle();
-    }
-
-    bool valid() const noexcept { return block_ != nullptr; }
-    const SegmentEntry& entry() const { return (*block_)[i_]; }
-
-   private:
-    void settle() {
-      for (;;) {
-        while (block_ != nullptr && i_ >= block_->size()) {
-          if (bi_ + 1 >= r_->blocks_.size()) {
-            invalidate();
-            return;
-          }
-          ++bi_;
-          block_ = r_->load_block(bi_);
-          i_ = 0;
-        }
-        if (block_ == nullptr) return;
-        if (suppress_ && ((*block_)[i_].flags & kEntryTombstone) != 0) {
-          ++i_;
-          continue;
-        }
-        return;
-      }
-    }
-
-    void invalidate() {
-      block_ = nullptr;
-      i_ = 0;
-    }
-
-    SegmentReader* r_;
-    bool suppress_;
-    std::uint32_t bi_ = 0;
-    std::size_t i_ = 0;
-    std::shared_ptr<const BlockCache::Block> block_;
+/// Read one whole segment file and decode it into planes. Nothing is
+/// trusted before it is checked: the magic at both ends, the footer's
+/// geometry, the index CRC, blocks that tile the data region exactly in
+/// index order, each block's CRC and count, keys strictly ascending within
+/// and across blocks, and fences equal to each block's first and last key.
+/// Any mismatch throws CorruptionError (never UB on a bit-flipped file); a
+/// file that cannot be opened or read throws the env's IOError.
+inline SegmentPlanes read_segment_file(StorageEnv& env, const std::string& name) {
+  using namespace seg_detail;
+  const auto corrupt = [&](const char* what) {
+    return CorruptionError("segment " + name + ": " + what);
   };
-
-  Cursor make_cursor(bool suppress_tombstones = true) {
-    return Cursor(*this, suppress_tombstones);
+  const std::unique_ptr<RandomReadFile> file = env.open_read(name);
+  const std::uint64_t fsize = file->size();
+  if (fsize < 8 + kTailBytes) throw corrupt("file too small");
+  const auto data = std::make_unique_for_overwrite<char[]>(fsize);
+  read_fully(*file, 0, data.get(), fsize);
+  const char* d = data.get();
+  const char* tail = d + fsize - kTailBytes;
+  if (get_u64(d) != kSegmentMagic) throw corrupt("bad magic");
+  if (get_u64(tail + 24) != kSegmentMagic) throw corrupt("bad tail magic");
+  const std::uint64_t index_offset = get_u64(tail);
+  const std::uint32_t block_count = get_u32(tail + 12);
+  const std::uint64_t index_bytes =
+      static_cast<std::uint64_t>(block_count) * kIndexEntryBytes;
+  if (index_offset < 8 || index_offset > fsize ||
+      fsize - index_offset != index_bytes + kTailBytes) {
+    throw corrupt("inconsistent footer");
   }
-
-  /// Recovery path: stream every entry (tombstones included) in order.
-  template <class Fn>
-  void for_each_raw(Fn&& fn) {
-    for (std::uint32_t bi = 0; bi < blocks_.size(); ++bi) {
-      auto block = load_block(bi);
-      for (const auto& e : *block) fn(e);
+  const char* index = d + index_offset;
+  if (crc32c(index, index_bytes) != get_u32(tail + 8)) {
+    throw corrupt("index CRC mismatch");
+  }
+  // The blocks must tile [8, index_offset) in index order, so every data
+  // byte sits under a block CRC, and the total count is bounded by the
+  // file size before anything is allocated for it.
+  std::uint64_t at = 8, total = 0;
+  for (std::uint32_t b = 0; b < block_count; ++b) {
+    const char* m = index + b * kIndexEntryBytes;
+    const std::uint32_t count = get_u32(m + 8);
+    const std::uint64_t bytes = kBlockHeaderBytes + std::uint64_t{count} * kEntryBytes;
+    if (get_u64(m) != at || count == 0 || index_offset - at < bytes) {
+      throw corrupt("invalid block index");
+    }
+    at += bytes;
+    total += count;
+  }
+  if (at != index_offset) throw corrupt("blocks do not tile the data region");
+  if (total != get_u64(tail + 16)) throw corrupt("entry count mismatch");
+  SegmentPlanes out;
+  out.keys.resize(total);
+  out.vals.resize(total);
+  out.flags.resize(total);
+  std::size_t i = 0;
+  for (std::uint32_t b = 0; b < block_count; ++b) {
+    const char* m = index + b * kIndexEntryBytes;
+    const char* block = d + get_u64(m);
+    const std::uint32_t count = get_u32(m + 8);
+    const char* body = block + kBlockHeaderBytes;
+    if (get_u32(block + 4) != count ||
+        crc32c(body, count * kEntryBytes) != get_u32(block)) {
+      throw corrupt("block CRC mismatch");
+    }
+    const std::size_t first = i;
+    for (const char* e = body; e != body + count * kEntryBytes; e += kEntryBytes, ++i) {
+      out.keys[i] = get_u64(e);
+      out.vals[i] = get_u64(e + 8);
+      out.flags[i] = (e[16] & kEntryTombstone) != 0 ? kPlaneTombstone : 0;
+      if (i > 0 && out.keys[i] <= out.keys[i - 1]) throw corrupt("unsorted entries");
+    }
+    if (out.keys[first] != get_u64(m + 12) || out.keys[i - 1] != get_u64(m + 20)) {
+      throw corrupt("fence/block mismatch");
     }
   }
-
- private:
-  struct BlockMeta {
-    std::uint64_t offset;
-    std::uint32_t count;
-    std::uint64_t min_key;
-    std::uint64_t max_key;
-  };
-
-  std::unique_ptr<RandomReadFile> file_;
-  std::string name_;
-  std::uint64_t cache_file_id_;
-  BlockCache* cache_;
-  std::vector<BlockMeta> blocks_;
-  std::uint64_t total_count_ = 0;
-};
+  return out;
+}
 
 }  // namespace costream::storage

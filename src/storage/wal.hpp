@@ -7,6 +7,9 @@
 //   payload = [u64 last_seqno] [u8 kind=1] [u32 count]
 //             count x { u64 key, u64 value, u8 flags }   (flags bit0 = delete)
 //
+// count and payload_len are u32s, so a call of more than kMaxRecordEntries
+// entries is refused with std::length_error before anything is framed.
+//
 // Group commit: appends accumulate in a user-space buffer and reach the
 // file when the buffer crosses group_commit_bytes (or on sync()). The
 // fsync policy decides durability: kAlways fsyncs every record, kBatch
@@ -30,7 +33,9 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,6 +67,9 @@ inline constexpr std::uint8_t kRecordKindOps = 1;
 inline constexpr std::size_t kHeaderBytes = 8;     // crc + len
 inline constexpr std::size_t kEntryBytes = 17;     // key + value + flags
 inline constexpr std::size_t kPayloadFixed = 13;   // seqno + kind + count
+// Most entries one record can frame: its count and payload length are u32s.
+inline constexpr std::size_t kMaxRecordEntries =
+    (std::numeric_limits<std::uint32_t>::max() - kPayloadFixed) / kEntryBytes;
 
 inline void put_u32(std::string& out, std::uint32_t v) {
   char b[4];
@@ -184,6 +192,17 @@ class WalWriter {
     });
   }
 
+  /// Reject a call too large for one record with std::length_error — a
+  /// wrapped length would read back as a CRC break and lose the call.
+  /// Callers check before they read an entry or touch their own state.
+  static void check_record_entries(std::size_t count) {
+    if (count > wal_detail::kMaxRecordEntries) {
+      throw std::length_error("wal: " + std::to_string(count) +
+                              " entries in one call; a record holds at most " +
+                              std::to_string(wal_detail::kMaxRecordEntries));
+    }
+  }
+
   /// Force everything buffered onto the device (group-commit barrier).
   void sync() {
     if (poisoned_) {
@@ -225,10 +244,12 @@ class WalWriter {
   /// the arena, header patched once the payload CRC is known — per-entry
   /// string appends and resize() zero-fills are measurable at WAL-on
   /// ingest rates), then run the fsync policy with exactly-once unwind on
-  /// failure.
+  /// failure. A call past the record size bound throws before anything is
+  /// framed.
   template <class Fill>
   void append_encoded(std::uint64_t last_seqno, std::size_t count,
                       Fill&& fill) {
+    check_record_entries(count);
     if (poisoned_) {
       throw IOError("wal: epoch poisoned by an earlier failed append");
     }

@@ -183,7 +183,6 @@ DurableConfig fuzz_dict_config(const ArmConfig& arm) {
   cfg.checkpoint_wal_bytes = arm.phased ? 16u << 10 : 64u << 10;
   cfg.spill_depth = arm.phased ? 2 : 1;
   cfg.segment_block_bytes = 512;
-  cfg.block_cache_bytes = 64u << 10;
   return cfg;
 }
 

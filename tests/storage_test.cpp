@@ -6,8 +6,10 @@
 // crash fuzz composes them.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <set>
@@ -423,69 +425,30 @@ TEST(Segment, RoundTripMultiBlock) {
   FaultInjectionEnv env;
   const auto es = make_entries(100);
   write_segment(env, "seg-1.seg", es);
-  SegmentReader r(env, "seg-1.seg", 1, nullptr);
-  EXPECT_EQ(r.total_count(), 100u);
-  EXPECT_GT(r.block_count(), 5u);
-  EXPECT_EQ(r.min_key(), 5u);
-  EXPECT_EQ(r.max_key(), 995u);
-  std::vector<SegmentEntry> got;
-  r.for_each_raw([&](const SegmentEntry& e) { got.push_back(e); });
-  ASSERT_EQ(got.size(), es.size());
+  const SegmentPlanes p = read_segment_file(env, "seg-1.seg");
+  ASSERT_EQ(p.keys.size(), es.size());
+  ASSERT_EQ(p.vals.size(), es.size());
+  ASSERT_EQ(p.flags.size(), es.size());
   for (std::size_t i = 0; i < es.size(); ++i) {
-    EXPECT_EQ(got[i].key, es[i].key);
-    EXPECT_EQ(got[i].value, es[i].value);
-    EXPECT_EQ(got[i].flags, es[i].flags);
+    EXPECT_EQ(p.keys[i], es[i].key);
+    EXPECT_EQ(p.vals[i], es[i].value);
+    // The planes carry the in-memory tombstone bit, not the file's bit0.
+    EXPECT_EQ(p.flags[i], es[i].flags != 0 ? snap::Item<>::kFlagTombstone : 0u);
   }
-}
-
-TEST(Segment, CursorSeeksThroughFencesAndSkipsTombstones) {
-  FaultInjectionEnv env;
-  write_segment(env, "seg-1.seg", make_entries(100));
-  BlockCache cache(1u << 16);
-  SegmentReader r(env, "seg-1.seg", 1, &cache);
-  auto c = r.make_cursor(/*suppress_tombstones=*/true);
-  c.seek(400);  // key 405 exists, i=40, 40%4==0 -> tombstone, skip to 415
-  ASSERT_TRUE(c.valid());
-  EXPECT_EQ(c.entry().key, 415u);
-  c.seek(996);
-  EXPECT_FALSE(c.valid());
-  auto raw = r.make_cursor(/*suppress_tombstones=*/false);
-  raw.seek(400);
-  ASSERT_TRUE(raw.valid());
-  EXPECT_EQ(raw.entry().key, 405u);
-  EXPECT_EQ(raw.entry().flags, kEntryTombstone);
-  // Full scan through next() sees every non-tombstone in order.
-  std::uint64_t n = 0;
-  for (c.seek_first(); c.valid(); c.next()) ++n;
-  EXPECT_EQ(n, 75u);
-}
-
-TEST(Segment, BlockCacheServesRepeatSeeks) {
-  FaultInjectionEnv env;
-  write_segment(env, "seg-1.seg", make_entries(100));
-  BlockCache cache(1u << 16);
-  SegmentReader r(env, "seg-1.seg", 1, &cache);
-  auto c = r.make_cursor();
-  c.seek(500);
-  const std::uint64_t misses_after_first = cache.misses();
-  for (int i = 0; i < 10; ++i) c.seek(500);
-  EXPECT_EQ(cache.misses(), misses_after_first);
-  EXPECT_GE(cache.hits(), 10u);
 }
 
 TEST(Segment, EmptySegmentIsValid) {
   FaultInjectionEnv env;
   write_segment(env, "seg-1.seg", {});
-  SegmentReader r(env, "seg-1.seg", 1, nullptr);
-  EXPECT_EQ(r.total_count(), 0u);
-  auto c = r.make_cursor();
-  c.seek_first();
-  EXPECT_FALSE(c.valid());
+  const SegmentPlanes p = read_segment_file(env, "seg-1.seg");
+  EXPECT_TRUE(p.keys.empty());
+  EXPECT_TRUE(p.vals.empty());
+  EXPECT_TRUE(p.flags.empty());
 }
 
 // The robustness core: flip EVERY byte of a segment file; every flip must
-// surface as CorruptionError (from the reader ctor or the scan), never as
-// wrong data and never as UB.
+// surface as CorruptionError from the decode, never as wrong data and never
+// as UB.
 TEST(Segment, CorruptionMatrixEveryByteFlip) {
   const auto es = make_entries(30);
   FaultInjectionEnv ref_env;
@@ -497,14 +460,8 @@ TEST(Segment, CorruptionMatrixEveryByteFlip) {
     char orig;
     read_fully(*env.open_read("seg-1.seg"), off, &orig, 1);
     env.poke("seg-1.seg", off, static_cast<std::uint8_t>(orig ^ 0x20));
-    bool threw = false;
-    try {
-      SegmentReader r(env, "seg-1.seg", 1, nullptr);
-      r.for_each_raw([](const SegmentEntry&) {});
-    } catch (const CorruptionError&) {
-      threw = true;
-    }
-    EXPECT_TRUE(threw) << "byte " << off << " of " << file_size;
+    EXPECT_THROW(read_segment_file(env, "seg-1.seg"), CorruptionError)
+        << "byte " << off << " of " << file_size;
   }
 }
 
@@ -562,6 +519,15 @@ TEST(Manifest, CorruptionMatrixEveryByteFlip) {
   EXPECT_THROW(decode_manifest(bytes + "x"), CorruptionError);
 }
 
+TEST(Manifest, RejectsALevelNoGeometryReaches) {
+  Manifest m;
+  m.segments = {{"seg-1.seg", 1, kManifestLevelLimit - 1, 10}};
+  EXPECT_EQ(decode_manifest(encode_manifest(m)).segments[0].level,
+            kManifestLevelLimit - 1);
+  m.segments[0].level = kManifestLevelLimit;
+  EXPECT_THROW(decode_manifest(encode_manifest(m)), CorruptionError);
+}
+
 // -------------------------------------------------------- durable dict ----
 
 DurableConfig small_config() {
@@ -573,6 +539,54 @@ DurableConfig small_config() {
   cfg.spill_depth = 1;
   cfg.segment_block_bytes = 512;
   return cfg;
+}
+
+std::set<std::string> segment_files(StorageEnv& env) {
+  std::set<std::string> out;
+  for (const auto& name : env.list()) {
+    if (name.compare(0, 4, "seg-") == 0) out.insert(name);
+  }
+  return out;
+}
+
+/// The installed manifest; an empty one before the first install.
+Manifest installed_manifest(StorageEnv& env) {
+  std::optional<Manifest> m = load_manifest(env);
+  return m.has_value() ? std::move(*m) : Manifest{};
+}
+
+std::set<std::string> manifest_files(StorageEnv& env) {
+  std::set<std::string> out;
+  for (const auto& s : installed_manifest(env).segments) out.insert(s.name);
+  return out;
+}
+
+using SegIds = std::vector<std::pair<std::uint64_t, std::uint32_t>>;  // (id, level)
+
+SegIds manifest_segments(StorageEnv& env) {
+  SegIds out;
+  for (const auto& s : installed_manifest(env).segments) {
+    out.emplace_back(s.seg_id, s.level);
+  }
+  return out;
+}
+
+/// The in-memory segment set, oldest first: what a checkpoint must list.
+SegIds memory_segments(const DurableDictionary& d) {
+  SegIds out;
+  d.inner().for_each_segment([&](std::size_t level, const snap::Segment<>& seg) {
+    out.emplace_back(seg.id, static_cast<std::uint32_t>(level));
+  });
+  return out;
+}
+
+std::size_t wal_file_count(StorageEnv& env) {
+  std::size_t n = 0;
+  for (const auto& name : env.list()) {
+    std::uint64_t no;
+    if (wal_detail::parse_wal_name(name, no)) ++n;
+  }
+  return n;
 }
 
 TEST(DurableDict, PersistsAcrossReopen) {
@@ -737,21 +751,52 @@ TEST(DurableDict, CorruptManifestDegradesToReadOnly) {
   (void)d.find(1);
 }
 
-TEST(DurableDict, CorruptSegmentDegradesToReadOnly) {
-  FaultInjectionEnv env;
-  {
-    DurableDictionary d(env, small_config());
-    for (std::uint64_t i = 0; i < 500; ++i) d.insert(i, i);
-    d.checkpoint();
+TEST(DurableDict, EveryListedFileIsCheckedAtAdoption) {
+  // Reopen checks each manifest-listed file before adopting it: a missing
+  // file, a valid segment file whose entry count is not the manifest's (a
+  // file swapped for another), and a corrupt block each open read-only, or
+  // throw CorruptionError under strict.
+  using Fault = void (*)(FaultInjectionEnv&, const SegmentMeta&);
+  const std::vector<std::pair<const char*, Fault>> faults = {
+      {"missing",
+       [](FaultInjectionEnv& env, const SegmentMeta& s) {
+         env.remove_file(s.name);
+         env.sync_dir();
+       }},
+      {"another count",
+       [](FaultInjectionEnv& env, const SegmentMeta& s) {
+         write_segment(env, s.name, make_entries(static_cast<int>(s.count) + 1));
+       }},
+      {"corrupt block",
+       [](FaultInjectionEnv& env, const SegmentMeta& s) {
+         env.poke(s.name, 100, 0xff);  // inside the first block's body
+       }},
+  };
+  for (const auto& [what, fault] : faults) {
+    for (const bool strict : {false, true}) {
+      SCOPED_TRACE(std::string(what) + (strict ? " strict" : ""));
+      FaultInjectionEnv env;
+      {
+        DurableDictionary d(env, small_config());
+        for (std::uint64_t i = 0; i < 500; ++i) d.insert(i, i);
+        d.checkpoint();
+      }
+      const Manifest m = installed_manifest(env);
+      ASSERT_FALSE(m.segments.empty());
+      fault(env, m.segments.front());
+      auto cfg = small_config();
+      cfg.strict = strict;
+      if (strict) {
+        EXPECT_THROW(DurableDictionary(env, cfg), CorruptionError);
+        continue;
+      }
+      DurableDictionary d(env, cfg);
+      EXPECT_TRUE(d.read_only());
+      EXPECT_NE(d.corruption_detail().find(m.segments.front().name), std::string::npos)
+          << d.corruption_detail();
+      EXPECT_THROW(d.insert(1, 1), ReadOnlyError);
+    }
   }
-  std::string seg;
-  for (const auto& name : env.list()) {
-    if (name.compare(0, 4, "seg-") == 0) seg = name;
-  }
-  ASSERT_FALSE(seg.empty());
-  env.poke(seg, 100, 0xff);
-  DurableDictionary d(env, small_config());
-  EXPECT_TRUE(d.read_only());
 }
 
 TEST(DurableDict, StrictModeThrowsInsteadOfDegrading) {
@@ -833,17 +878,20 @@ TEST(DurableDict, SurvivesTransientEioEverywhere) {
 }
 
 TEST(DurableDict, SegIdCounterNeverRewinds) {
-  // set_next_seg_id must clamp monotonically: a rewind would mint ids
-  // already handed out, and a duplicate id reported as consumed by a fold
-  // retires an unrelated live on-disk segment.
+  // Adoption moves the segment-id counter past every adopted id and never
+  // rewinds it: a rewind would mint ids already handed out, and a
+  // duplicate id reported as consumed by a fold retires an unrelated live
+  // on-disk segment.
   FaultInjectionEnv env;
   DurableDictionary d(env, small_config());
   auto& g = d.inner_mut();
   const std::uint64_t cur = g.next_seg_id();
-  g.set_next_seg_id(cur + 100);
-  EXPECT_EQ(g.next_seg_id(), cur + 100);
-  g.set_next_seg_id(cur);  // rewind attempt
-  EXPECT_EQ(g.next_seg_id(), cur + 100);
+  g.adopt({1, 2}, {10, 20}, {0, 0}, cur + 100, 1);
+  EXPECT_EQ(g.next_seg_id(), cur + 101);
+  g.adopt({0}, {5}, {0}, cur, 1);  // an older segment with a lower id
+  EXPECT_EQ(g.next_seg_id(), cur + 101);
+  EXPECT_EQ(memory_segments(d), (SegIds{{cur, 1}, {cur + 100, 1}}));
+  d.check_invariants();
 }
 
 TEST(DurableDict, ReplayMintedSegIdsNeverRetireLiveSegments) {
@@ -853,8 +901,9 @@ TEST(DurableDict, ReplayMintedSegIdsNeverRetireLiveSegments) {
   // even rewind the counter below replay-minted ids. A post-recovery fold
   // then reported a colliding id as consumed and the spiller retired the
   // UNRELATED on-disk segment — losing its content at the next reopen
-  // whenever the WAL no longer covered it. The counter now seeds past
-  // every manifest id BEFORE replay, making the id spaces disjoint.
+  // whenever the WAL no longer covered it. Adoption now moves the counter
+  // past every manifest id before the WAL tail replays, making the id
+  // spaces disjoint.
   //
   // Oracle: end-to-end key loss. Generation 1 checkpoints 4000 keys (the
   // covered prefix now lives ONLY in the checkpoint segment — WAL gc
@@ -924,16 +973,54 @@ TEST(DurableDict, MissingVouchedWalIsCorruptionNotTear) {
   }
 }
 
+TEST(DurableDict, OversizedCallIsRefusedBeforeAnythingIsFramed) {
+  // A WAL record frames its entry count and payload length as u32s, so a
+  // call of more than kMaxRecordEntries entries would wrap them into a
+  // record that replay reads as a CRC break. Such a call is refused with
+  // std::length_error before an entry is read: each Span below claims one
+  // entry past the bound over a one-entry buffer. The WAL, the memory tier
+  // and the seqno stay as they were.
+  EXPECT_EQ(wal_detail::kMaxRecordEntries, 252645134u);
+  FaultInjectionEnv env;
+  {
+    DurableDictionary d(env, small_config());
+    d.insert(1, 10);
+    d.sync();
+    const std::uint64_t bytes = env.stats().bytes_written;
+    const std::size_t n = wal_detail::kMaxRecordEntries + 1;
+    const std::vector<Entry<>> e{{2, 20}};
+    const std::vector<Op<>> op{Op<>::put(2, 20)};
+    const std::vector<Key> k{1};
+    EXPECT_THROW(d.insert_batch(Span<Entry<>>(e.data(), n)), std::length_error);
+    EXPECT_THROW(d.apply_batch(Span<Op<>>(op.data(), n)), std::length_error);
+    EXPECT_THROW(d.erase_batch(Span<Key>(k.data(), n)), std::length_error);
+    EXPECT_EQ(d.seqno(), 1u);
+    EXPECT_FALSE(d.find(2).has_value());
+    EXPECT_EQ(d.find(1).value(), 10u);
+    d.sync();
+    EXPECT_EQ(env.stats().bytes_written, bytes);
+    d.insert(3, 30);  // the store keeps working
+  }
+  DurableDictionary d(env, small_config());
+  EXPECT_EQ(d.last_recovered_seqno(), 2u);
+  EXPECT_EQ(d.find(1).value(), 10u);
+  EXPECT_EQ(d.find(3).value(), 30u);
+}
+
 // Test env wrapper: refuses segment-file creation and/or file removal
 // while armed, everything else passes through — the surgical faults for a
-// failed spill or checkpoint write and for a refused collection.
+// failed spill or checkpoint write and for a refused collection. It also
+// logs every name it is asked to create.
 class RefusingEnv final : public StorageEnv {
  public:
   explicit RefusingEnv(StorageEnv& base) : base_(base) {}
   bool fail_segment_creates = false;
   bool fail_removes = false;
 
+  std::vector<std::string> created;  // every name create() was asked for
+
   std::unique_ptr<WritableFile> create(const std::string& name) override {
+    created.push_back(name);
     if (fail_segment_creates && name.compare(0, 4, "seg-") == 0) {
       throw IOError("injected: segment create refused");
     }
@@ -997,54 +1084,6 @@ TEST(DurableDict, FailedAutomaticCheckpointDefersInsteadOfThrowing) {
 }
 
 // ------------------------------------------------ incremental checkpoints --
-
-std::set<std::string> segment_files(StorageEnv& env) {
-  std::set<std::string> out;
-  for (const auto& name : env.list()) {
-    if (name.compare(0, 4, "seg-") == 0) out.insert(name);
-  }
-  return out;
-}
-
-/// The installed manifest; an empty one before the first install.
-Manifest installed_manifest(StorageEnv& env) {
-  std::optional<Manifest> m = load_manifest(env);
-  return m.has_value() ? std::move(*m) : Manifest{};
-}
-
-std::set<std::string> manifest_files(StorageEnv& env) {
-  std::set<std::string> out;
-  for (const auto& s : installed_manifest(env).segments) out.insert(s.name);
-  return out;
-}
-
-using SegIds = std::vector<std::pair<std::uint64_t, std::uint32_t>>;  // (id, level)
-
-SegIds manifest_segments(StorageEnv& env) {
-  SegIds out;
-  for (const auto& s : installed_manifest(env).segments) {
-    out.emplace_back(s.seg_id, s.level);
-  }
-  return out;
-}
-
-/// The in-memory segment set, oldest first: what a checkpoint must list.
-SegIds memory_segments(const DurableDictionary& d) {
-  SegIds out;
-  d.inner().for_each_segment([&](std::size_t level, const snap::Segment<>& seg) {
-    out.emplace_back(seg.id, static_cast<std::uint32_t>(level));
-  });
-  return out;
-}
-
-std::size_t wal_file_count(StorageEnv& env) {
-  std::size_t n = 0;
-  for (const auto& name : env.list()) {
-    std::uint64_t no;
-    if (wal_detail::parse_wal_name(name, no)) ++n;
-  }
-  return n;
-}
 
 TEST(DurableDict, RefusedRemoveNeverFailsADurableCheckpoint) {
   // Once a checkpoint's manifest is installed the checkpoint has happened:
@@ -1159,54 +1198,275 @@ TEST(DurableDict, SegmentFilesAreExactlyTheManifestLiveSet) {
   EXPECT_EQ(segment_files(env), manifest_files(env));
 }
 
-TEST(DurableDict, FirstCheckpointAfterReopenWritesTheReplayedSegments) {
-  // Recovery replays the manifest's files into fresh in-memory segments —
-  // the spill observer attaches after replay — so none of them has a
-  // file. The generation's first checkpoint writes them all and drops the
-  // recovered files; the next one, with nothing new, writes no segment.
-  // Then a power cut: nothing acknowledged-durable is lost, no file leaks.
-  FaultInjectionEnv env;
-  auto cfg = small_config();
-  cfg.spill_depth = 2;
-  std::set<std::string> recovered;
-  {
-    DurableDictionary d(env, cfg);
-    for (std::uint64_t i = 0; i < 3000; ++i) d.insert(i, i + 7);
-    d.checkpoint();
-    recovered = segment_files(env);
-    ASSERT_FALSE(recovered.empty());
-  }
-  {
-    DurableDictionary d(env, cfg);
-    ASSERT_FALSE(d.read_only());
-    EXPECT_EQ(d.storage_stats().recovered_segment_entries, 3000u);
-    EXPECT_EQ(d.live_segment_files(), recovered.size());
-    for (std::uint64_t i = 3000; i < 4000; ++i) d.insert(i, i + 7);
-    d.checkpoint();
-    for (const std::string& name : recovered) {
-      EXPECT_FALSE(env.exists(name)) << name;
+// ------------------------------------------------------------- adoption --
+
+/// `ops` applied to the store and to the model alike.
+void apply(DurableDictionary& d, std::map<Key, Value>& model,
+           const std::vector<Op<>>& ops) {
+  d.apply_batch(ops);
+  for (const Op<>& o : ops) {
+    if (o.erase) {
+      model.erase(o.key);
+    } else {
+      model[o.key] = o.value;
     }
-    EXPECT_EQ(segment_files(env), manifest_files(env));
-    EXPECT_EQ(manifest_segments(env), memory_segments(d));
-    const std::uint64_t written = d.storage_stats().segments_spilled;
-    d.checkpoint();
-    EXPECT_EQ(d.storage_stats().segments_spilled, written);
-    for (std::uint64_t i = 4000; i < 4500; ++i) d.insert(i, i + 7);
-    d.sync();
-    env.schedule_crash_after(1);
-    EXPECT_THROW(env.list(), CrashError);
   }
-  env.apply_crash();
+}
+
+void expect_contents(const DurableDictionary& d, const std::map<Key, Value>& model) {
+  std::map<Key, Value> got;
+  d.for_each([&](Key k, Value v) { got.emplace(k, v); });
+  ASSERT_EQ(got.size(), model.size());
+  EXPECT_TRUE(got == model);
+}
+
+/// Manifest entries whose recorded level is not the level the segment holds
+/// in memory: relocated by a trivial move since the manifest was written.
+std::size_t stale_levels(StorageEnv& env, const DurableDictionary& d) {
+  std::map<std::uint64_t, std::uint32_t> at;
+  for (const auto& [id, level] : memory_segments(d)) at[id] = level;
+  std::size_t n = 0;
+  for (const auto& [id, level] : manifest_segments(env)) {
+    n += at.count(id) != 0 && at[id] != level ? 1 : 0;
+  }
+  return n;
+}
+
+/// Reopen under `cfg` and check what adoption promises: the contents equal
+/// `model`, the invariants hold, every listed entry counts as adopted,
+/// every adopted segment still in memory sits at or past both its recorded
+/// level and spill_depth, and the first checkpoint writes no adopted file.
+/// With `exact` — a WAL tail that stays in the staging arena — the
+/// in-memory segments are the manifest's, ids in the same order.
+void expect_adopting_reopen(RefusingEnv& env, const DurableConfig& cfg,
+                            const std::map<Key, Value>& model, bool exact) {
+  const Manifest m = installed_manifest(env);
+  std::map<std::uint64_t, std::uint32_t> recorded;
+  std::vector<std::uint64_t> listed;
+  std::uint64_t entries = 0;
+  for (const SegmentMeta& s : m.segments) {
+    recorded[s.seg_id] = s.level;
+    listed.push_back(s.seg_id);
+    entries += s.count;
+  }
   DurableDictionary d(env, cfg);
-  ASSERT_FALSE(d.read_only());
-  EXPECT_EQ(d.last_recovered_seqno(), 4500u);
-  std::uint64_t seen = 0;
-  d.for_each([&](Key k, Value v) {
-    ASSERT_EQ(v, k + 7);
-    ++seen;
-  });
-  EXPECT_EQ(seen, 4500u);
+  ASSERT_FALSE(d.read_only()) << d.corruption_detail();
+  EXPECT_EQ(d.storage_stats().recovered_segment_entries, entries);
+  ASSERT_NO_THROW(d.check_invariants());
+  expect_contents(d, model);
+  std::vector<std::uint64_t> ids;
+  for (const auto& [id, level] : memory_segments(d)) {
+    ids.push_back(id);
+    const auto it = recorded.find(id);
+    if (it == recorded.end()) continue;  // a fold of the WAL tail
+    EXPECT_GE(level, it->second) << "segment " << id;
+    EXPECT_GE(level, cfg.spill_depth) << "segment " << id;
+  }
+  if (exact) {
+    EXPECT_EQ(ids, listed);
+  }
+  env.created.clear();
+  d.checkpoint();
+  for (const std::string& name : env.created) {
+    std::uint64_t id = 0;
+    if (std::sscanf(name.c_str(), "seg-%" SCNu64 ".seg", &id) == 1) {
+      EXPECT_EQ(recorded.count(id), 0u) << "adopted " << name << " rewritten";
+    }
+  }
+  EXPECT_EQ(manifest_segments(env), memory_segments(d));
   EXPECT_EQ(segment_files(env), manifest_files(env));
+  ASSERT_NO_THROW(d.check_invariants());
+  expect_contents(d, model);
+}
+
+TEST(DurableDict, ReopenAdoptsASpillOnlyStore) {
+  // A spill's manifest keeps the level each file had when it was written,
+  // and a trivial move relocates a segment without telling the spiller:
+  // the manifest a spill-only store leaves lists stale levels, and reopen
+  // must place by Gcola::adopt's rule, not by the record. A small arena
+  // (64 entries) drains often; fresh keys make every drain into virgin
+  // depth a trivial move.
+  auto cfg = small_config();  // checkpoints only when called
+  cfg.inner = cola::ingest_tuned(4, 16);
+  Xoshiro256 rng(11);
+  Key next = 1;
+  const auto fresh = [&](std::size_t n) {
+    std::vector<Op<>> ops;
+    for (std::size_t i = 0; i < n; ++i) ops.push_back(Op<>::put(mix64(next++), rng()));
+    return ops;
+  };
+  {
+    SCOPED_TRACE("no checkpoint");
+    // The WAL tail a reopen replays is then the whole history, and its
+    // folds may consume adopted segments.
+    FaultInjectionEnv base;
+    RefusingEnv env(base);
+    std::map<Key, Value> model;
+    {
+      DurableDictionary d(env, cfg);
+      for (int call = 0; call < 600 || stale_levels(env, d) == 0; ++call) {
+        ASSERT_LT(call, 6000);
+        apply(d, model, fresh(1 + rng.below(24)));
+      }
+      EXPECT_EQ(d.storage_stats().checkpoints, 0u);
+    }
+    expect_adopting_reopen(env, cfg, model, /*exact=*/false);
+  }
+  {
+    SCOPED_TRACE("one flush past a checkpoint");
+    // A checkpoint lists exact levels and covers the log; one flush of less
+    // than an arena later, a trivial move leaves a spill manifest with
+    // stale levels and a WAL tail that stays in the arena at reopen.
+    FaultInjectionEnv base;
+    RefusingEnv env(base);
+    std::map<Key, Value> model;
+    {
+      DurableDictionary d(env, cfg);
+      for (int round = 0; stale_levels(env, d) == 0; ++round) {
+        ASSERT_LT(round, 400);
+        d.checkpoint();
+        apply(d, model, fresh(63));
+        d.flush_stage();
+      }
+    }
+    expect_adopting_reopen(env, cfg, model, /*exact=*/true);
+  }
+}
+
+TEST(DurableDict, AdoptionKeepsContentAgeOrderOverRecordedLevels) {
+  // A spill manifest can record an older segment shallower than a newer one:
+  // the older was written shallow and trivially moved, and the newer landed
+  // beside it. Adoption never places an older segment above a newer one, so
+  // the newer copy of a key wins. Both crafted files hold keys 0..9; the
+  // older, recorded at level 1, would fit at level 2, and lands at level 3
+  // beneath the newer instead.
+  FaultInjectionEnv env;
+  for (const std::uint64_t id : {1u, 2u}) {
+    std::vector<SegmentEntry> es;
+    for (std::uint64_t k = 0; k < 10; ++k) es.push_back({k, id, 0});
+    write_segment(env, seg_detail::segment_name(id), es);
+  }
+  Manifest m;
+  m.covered_seqno = m.durable_seqno = 20;
+  m.segments = {{"seg-1.seg", 1, 1, 10}, {"seg-2.seg", 2, 3, 10}};
+  install_manifest(env, m);
+  DurableDictionary d(env, small_config());  // g = 4: level 2 holds 24
+  ASSERT_FALSE(d.read_only()) << d.corruption_detail();
+  EXPECT_EQ(memory_segments(d), (SegIds{{1, 3}, {2, 3}}));
+  for (std::uint64_t k = 0; k < 10; ++k) EXPECT_EQ(d.find(k).value(), 2u) << k;
+  d.check_invariants();
+}
+
+TEST(DurableDict, RecordedLevelPastTheGeometrysRangeIsOnlyAFloor) {
+  // At g = 4 the capacity of level 40 passes 2^64: it saturates instead of
+  // wrapping, so a file recorded there is adopted there, and the store
+  // keeps working from that depth.
+  FaultInjectionEnv base;
+  RefusingEnv env(base);
+  std::map<Key, Value> model;
+  std::vector<SegmentEntry> es;
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    es.push_back({k, k, 0});
+    model[k] = k;
+  }
+  write_segment(base, "seg-1.seg", es);
+  Manifest m;
+  m.covered_seqno = m.durable_seqno = 100;
+  m.segments = {{"seg-1.seg", 1, 40, 100}};
+  install_manifest(base, m);
+  expect_adopting_reopen(env, small_config(), model, /*exact=*/true);
+  {
+    DurableDictionary d(env, small_config());
+    for (Key k = 100; k < 2000; ++k) apply(d, model, {Op<>::put(k, k)});
+    d.checkpoint();
+  }
+  expect_adopting_reopen(env, small_config(), model, /*exact=*/true);
+}
+
+TEST(DurableDict, ReopenAdoptsUnderAnotherGeometry) {
+  // Recorded levels belong to the geometry that wrote them. Reopening under
+  // another growth factor and a deeper spill depth places every segment by
+  // the same rule, with no fallback; the store then keeps working through
+  // an ingest, a checkpoint, a power cut and one more reopen.
+  for (const auto& [from, to] : {std::pair{8u, 4u}, std::pair{4u, 16u}}) {
+    SCOPED_TRACE("g " + std::to_string(from) + " -> " + std::to_string(to));
+    FaultInjectionEnv base;
+    RefusingEnv env(base);
+    auto before = small_config();
+    before.inner = cola::ingest_tuned(from, 16);
+    auto after = small_config();
+    after.inner = cola::ingest_tuned(to, 16);
+    after.spill_depth = 3;
+    Xoshiro256 rng(from * 31 + to);
+    std::map<Key, Value> model;
+    Key next = 1;
+    const auto ops = [&](std::size_t n, bool mixed) {
+      std::vector<Op<>> out;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t pick = mixed ? rng.below(4) : 0;
+        if (pick == 0) {
+          out.push_back(Op<>::put(mix64(next++), rng()));
+        } else if (pick == 1) {
+          out.push_back(Op<>::del(mix64(1 + rng.below(next - 1))));
+        } else {
+          out.push_back(Op<>::put(mix64(1 + rng.below(next - 1)), rng()));
+        }
+      }
+      return out;
+    };
+    {
+      DurableDictionary d(env, before);
+      for (int call = 0; call < 300; ++call) {
+        apply(d, model, ops(1 + rng.below(24), false));
+      }
+      d.checkpoint();
+      EXPECT_GT(installed_manifest(env).segments.size(), 2u);
+    }
+    expect_adopting_reopen(env, after, model, /*exact=*/true);
+    {
+      DurableDictionary d(env, after);
+      for (int call = 0; call < 200; ++call) {
+        apply(d, model, ops(1 + rng.below(24), true));
+      }
+      d.checkpoint();
+      for (int call = 0; call < 50; ++call) apply(d, model, ops(1 + rng.below(24), true));
+      d.sync();
+      base.schedule_crash_after(1);
+      EXPECT_THROW(env.list(), CrashError);
+    }
+    base.apply_crash();
+    expect_adopting_reopen(env, after, model, /*exact=*/false);
+  }
+}
+
+TEST(DurableDict, AdoptedTombstoneArmsTheFullFold) {
+  // Reopen adopts a segment file's tombstones instead of replaying them,
+  // and they must still arm the next checkpoint's full fold — the garbage
+  // collector that bounds on-disk dead mass. The store is one file with 25
+  // tombstones among its 100 entries, wholly covered by its manifest.
+  FaultInjectionEnv env;
+  write_segment(env, "seg-1.seg", make_entries(100));
+  Manifest m;
+  m.covered_seqno = m.durable_seqno = 100;
+  m.segments = {{"seg-1.seg", 1, 1, 100}};
+  install_manifest(env, m);
+  DurableDictionary d(env, small_config());
+  ASSERT_FALSE(d.read_only()) << d.corruption_detail();
+  const auto tombstones = [&] {
+    std::uint64_t n = 0;
+    for (std::size_t l = 0; l < d.inner().level_count(); ++l) {
+      n += d.inner().level_tombstone_count(l);
+    }
+    return n;
+  };
+  EXPECT_EQ(tombstones(), 25u);
+  d.checkpoint();
+  EXPECT_EQ(tombstones(), 0u);
+  EXPECT_EQ(d.inner().stats().tombstones_dropped, 25u);
+  EXPECT_FALSE(env.exists("seg-1.seg"));
+  EXPECT_EQ(manifest_segments(env), memory_segments(d));
+  EXPECT_EQ(d.find(15).value(), 7u);
+  EXPECT_FALSE(d.find(5).has_value());
 }
 
 TEST(DurableDict, FailedSpillIsWrittenByTheNextCheckpoint) {
