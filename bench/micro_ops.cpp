@@ -1,9 +1,13 @@
 // google-benchmark microbenchmarks: raw in-RAM operation costs for every
 // dictionary in the library. These complement the figure benches (which
-// model disk behavior) by showing CPU-side constants.
+// model disk behavior) by showing CPU-side constants. The reader-scaling
+// cells at the end compare the sharded facade's barrier-free find() with
+// the same probe on pinned per-shard snapshots at 1, 2 and 4 threads.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "brt/brt.hpp"
 #include "btree/btree.hpp"
@@ -11,7 +15,9 @@
 #include "cola/cola.hpp"
 #include "cola/deamortized_cola.hpp"
 #include "common/rng.hpp"
+#include "common/snapshot.hpp"
 #include "common/workload.hpp"
+#include "shard/sharded_dictionary.hpp"
 #include "shuttle/shuttle_tree.hpp"
 
 namespace {
@@ -91,6 +97,79 @@ REGISTER_DICT(btree, make_btree);
 REGISTER_DICT(brt, make_brt);
 REGISTER_DICT(cob, make_cob);
 REGISTER_DICT(shuttle, make_shuttle);
+
+// -- reader scaling ------------------------------------------------------------
+// read_mixed's shape without the durable tier: two in-memory Gcola shards
+// (ingest_tuned(8, 1024), inline folds) behind the facade, 2^20 keys each,
+// preloaded in one batch and then updated by 2,000 batches of 64 so each
+// shard holds several segments. Half of all lookups miss. The facade cell
+// runs the full read protocol; the pinned cell routes the key the same way
+// and calls Snapshot::find on that shard's snapshot, taken once before
+// timing — the probe with no protocol around it. Public API only.
+struct ReaderFixture {
+  static constexpr std::uint64_t kKeys = std::uint64_t{1} << 21;
+
+  shard::ShardedDictionary<cola::Gcola<>> dict;
+  std::vector<snap::Snapshot<>> pinned;  // one per shard
+
+  ReaderFixture()
+      : dict(shard::ShardedConfig<>{},
+             [](std::size_t) { return cola::Gcola<>(cola::ingest_tuned(8, 1024)); }) {
+    std::vector<Entry<>> batch(kKeys);
+    for (std::uint64_t i = 0; i < kKeys; ++i) batch[i] = {key(i), i};
+    dict.insert_batch(batch);
+    Xoshiro256 rng(11);
+    std::vector<Entry<>> update(64);
+    for (std::uint64_t b = 0; b < 2'000; ++b) {
+      for (Entry<>& e : update) {
+        const std::uint64_t r = rng.below(kKeys);
+        e = {key(r), r + b};
+      }
+      dict.insert_batch(update);
+    }
+    for (std::size_t s = 0; s < dict.shard_count(); ++s) {
+      pinned.push_back(dict.shard(s).snapshot());
+    }
+  }
+
+  /// Rank i's key; ranks at or past kKeys were never inserted (mix64 is a
+  /// bijection), so drawing ranks below 2 * kKeys misses half the time.
+  static Key key(std::uint64_t i) { return mix64(i); }
+
+  std::size_t shard_of(Key k) const {
+    const std::vector<Key>& sp = dict.splitters();
+    return static_cast<std::size_t>(std::upper_bound(sp.begin(), sp.end(), k) -
+                                    sp.begin());
+  }
+
+  static ReaderFixture& get() {
+    static ReaderFixture f;  // built once, by whichever thread arrives first
+    return f;
+  }
+};
+
+void bm_reader_facade_find(benchmark::State& state) {
+  ReaderFixture& f = ReaderFixture::get();
+  Xoshiro256 rng(101 + static_cast<std::uint64_t>(state.thread_index()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.dict.find(ReaderFixture::key(rng.below(2 * ReaderFixture::kKeys))));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void bm_reader_pinned_find(benchmark::State& state) {
+  ReaderFixture& f = ReaderFixture::get();
+  Xoshiro256 rng(101 + static_cast<std::uint64_t>(state.thread_index()));
+  for (auto _ : state) {
+    const Key k = ReaderFixture::key(rng.below(2 * ReaderFixture::kKeys));
+    benchmark::DoNotOptimize(f.pinned[f.shard_of(k)].find(k));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+BENCHMARK(bm_reader_facade_find)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+BENCHMARK(bm_reader_pinned_find)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 
 }  // namespace
 

@@ -62,7 +62,11 @@
 //     view + the facade's acknowledged-pending overlay, revalidated
 //     against a per-shard sequence (optimistic, bounded retries); the
 //     linearizability hammer in tests/linearizability_test.cpp is the
-//     enforcement.
+//     enforcement. Both are raw pointers under epoch-based reclamation
+//     (shard/reclaim.hpp), so a find takes no lock, copies no shared_ptr
+//     and bumps no shared counter: it writes its own thread's
+//     reclamation slot and counter stripe (threads past the 64th share
+//     stripes), and concurrent finds scale with reader threads.
 //   * A sharded snapshot() from a non-owner thread still drains (it is a
 //     barrier by design) and reflects, per shard, all acknowledged writes
 //     plus possibly some just-applied ones; from the owner thread it is

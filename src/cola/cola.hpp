@@ -448,7 +448,7 @@ class Gcola {
 
   /// Point-in-time snapshot (contract in api/dictionary.hpp) and the one
   /// freeze path: ordered reads, cursor seeks, and the sharded facade's
-  /// per-job republish (snap::publish_view) all come through here. Stamped
+  /// per-job view publish (the shard worker calls it) all come through here. Stamped
   /// at the current mutation epoch and cached per epoch, so repeated
   /// acquisitions between mutations are refcount bumps. A mutated epoch
   /// costs O(appended data) plus segment-handle copies: every staging run

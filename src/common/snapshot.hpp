@@ -205,6 +205,44 @@ struct SnapshotData {
   bool fence_keys = true;
 };
 
+/// Point lookup against frozen contents: the newest entry for `key` wins
+/// (tombstone = absent). A first pass over the segments issues the load of
+/// the filter block of every segment the fence keys admit, so those misses
+/// overlap; the second pass, newest first, tests each admitted segment's
+/// block branch-free and runs the SIMD lower-bound kernel on the dense key
+/// plane of each segment the filter admits (a segment with no filter is
+/// always searched). Reads only the immutable data and writes nothing, so
+/// it is safe from any thread for as long as the caller keeps `data` alive
+/// — Snapshot::find co-owns it, the sharded facade's barrier-free find()
+/// holds an epoch guard instead.
+template <class K, class V>
+std::optional<V> find_in(const SnapshotData<K, V>& data, const K& key) {
+  const std::uint64_t h = filt::key_hash(key);
+  const auto admits = [&](const Segment<K, V>& seg) {
+    return !data.fence_keys || !(key < seg.min_key || seg.max_key < key);
+  };
+  const auto block = [h](const Segment<K, V>& seg) {
+    return filt::filter_block(seg.filter.data(), seg.filter.size(), h);
+  };
+  for (const SegmentRef<K, V>& seg : data.segs) {
+    if (!seg->filter.empty() && admits(*seg)) filt::prefetch_block(block(*seg));
+  }
+  const simd::Isa isa = simd::active_isa();
+  for (const SegmentRef<K, V>& seg : data.segs) {  // newest first
+    if (!admits(*seg)) continue;
+    if (!seg->filter.empty() && !filt::block_may_contain(block(*seg), h)) {
+      continue;  // definitely absent from this segment
+    }
+    const std::size_t n = seg->size();
+    const std::size_t i = simd::lower_bound_keys(seg->keys.data(), n, key, isa);
+    if (i != n && seg->keys[i] == key) {
+      if (seg->is_tombstone(i)) return std::nullopt;
+      return seg->vals[i];
+    }
+  }
+  return std::nullopt;
+}
+
 /// Resumable ordered cursor over one snapshot (Dictionary cursor contract
 /// in api/dictionary.hpp): seek positions at the first live key >= lo,
 /// next/entry stream live contents ascending with newest-wins dedup and
@@ -415,32 +453,13 @@ class Snapshot {
     return data_;
   }
 
-  /// Point lookup against the frozen view: probe segments newest-first —
-  /// fence-key pruning, then the segment's fingerprint filter (when
-  /// minted), then the SIMD lower-bound kernel on the dense key plane; the
-  /// first hit wins (tombstone = absent). Touches only the pinned immutable
-  /// segments and no memory hook, so it is safe from any thread — the
-  /// sharded facade's barrier-free find() is built on exactly this call
-  /// against a worker-published view.
+  /// Point lookup against the frozen view (find_in: fence keys, one
+  /// overlapped pass over the filter blocks, then the SIMD lower-bound
+  /// kernel). Touches only the pinned immutable segments and no memory
+  /// hook, so it is safe from any thread.
   std::optional<V> find(const K& key) const {
     if (data_ == nullptr) return std::nullopt;
-    const bool fences = data_->fence_keys;
-    const simd::Isa isa = simd::active_isa();
-    const std::uint64_t h = filt::key_hash(key);
-    for (const SegmentRef<K, V>& seg : data_->segs) {  // newest first
-      if (fences && (key < seg->min_key || seg->max_key < key)) continue;
-      if (!seg->filter.empty() &&
-          !filt::filter_may_contain(seg->filter.data(), seg->filter.size(), h)) {
-        continue;  // definitely absent from this segment
-      }
-      const std::size_t n = seg->size();
-      const std::size_t i = simd::lower_bound_keys(seg->keys.data(), n, key, isa);
-      if (i != n && seg->keys[i] == key) {
-        if (seg->is_tombstone(i)) return std::nullopt;
-        return seg->vals[i];
-      }
-    }
-    return std::nullopt;
+    return find_in(*data_, key);
   }
 
   /// Detached cursor over this snapshot (Dictionary cursor contract).
@@ -494,27 +513,6 @@ Snapshot<K, V> materialize(const D& d, std::uint64_t epoch) {
     data->segs.push_back(std::move(seg));
   }
   return Snapshot<K, V>(std::move(data));
-}
-
-/// Republish shim for single-writer owners that mirror their contents to
-/// concurrent readers (shard/sharded_dictionary.hpp republishes after every
-/// applied job): the structure's own snapshot(), whose per-epoch cache
-/// makes a republish of an unmutated structure a refcount bump. Gcola's
-/// snapshot pins its staging runs and tiered levels, so a mutated
-/// republish costs O(newly appended data) — through every wrapper that
-/// forwards snapshot() (DurableDictionary, AnyDictionary) as well.
-/// Copy-on-snapshot structures pay their O(n) materialize per mutated
-/// publish (fine for tests, measured unfit for hot ingest). Owner-thread
-/// only; the RETURNED data is immutable and free-threaded.
-template <class K, class V, class D>
-std::shared_ptr<const SnapshotData<K, V>> publish_view(const D& d) {
-  if constexpr (requires { d.snapshot(); }) {
-    return d.snapshot().data();
-  } else {
-    // Snapshot-less inner (test doubles): nothing to mirror — concurrent
-    // readers see it as empty, exactly like the ordered-read paths would.
-    return nullptr;
-  }
 }
 
 }  // namespace costream::snap

@@ -55,26 +55,45 @@
 //
 // Optimistic reads (the seqlock-shaped core, ROADMAP "Barrier-free point
 // reads"): after EVERY applied job, a shard's worker republishes the
-// shard's contents as an immutable ref-counted view (snap::publish_view,
-// i.e. the inner's snapshot(): the Gcola pins its staging runs and
-// levels, so a republish costs O(newly appended data), also through
-// DurableDictionary) together with the count of jobs it has applied, then
-// bumps the shard's publication sequence. The facade, on every submit,
-// republishes the shard's ACKNOWLEDGED-PENDING overlay: immutable copies of
-// the runs it has handed to the ring that the published view may not cover
-// yet.
-// A find loads the sequence, the overlay, then the view (that load order
-// matters: the overlay is pruned against a view the facade observed
-// EARLIER, so read-read coherence on the view pointer guarantees the
-// reader's view covers everything pruned from the reader's overlay — no
-// coverage gap), probes overlay runs newest-first and then the view, and
-// re-checks the sequence — retrying on change, bounded: every published
-// view is individually consistent, so the re-check buys freshness, never
-// safety, and a hot writer cannot livelock a reader. No drain, no wait:
-// ShardedStats::drains stays untouched by find (asserted by
+// shard's contents as an immutable view — the inner's snapshot() data (the
+// Gcola pins its staging runs and levels, so a republish costs O(newly
+// appended data), also through DurableDictionary) plus the count of jobs it
+// has applied — then advances the shard's publication sequence to that
+// count. The facade, on every submit, republishes the shard's
+// ACKNOWLEDGED-PENDING overlay: immutable copies of the runs it has handed
+// to the ring that the published view may not cover yet, pruned of the runs
+// the sequence says the view covers.
+// A find loads the sequence, the overlay, then the view, probes overlay
+// runs newest-first and then the view, and re-checks the sequence —
+// retrying on change, bounded: every published view is individually
+// consistent, so the re-check buys freshness, never safety, and a hot
+// writer cannot livelock a reader. The load order is the coverage argument:
+// the worker stores the view, then the sequence; the facade loads the
+// sequence, then stores the overlay; the reader loads the overlay, then the
+// view. Each store-load pair synchronizes, so the worker's view store
+// happens-before the reader's view load, which therefore returns that view
+// or a later one — covering every run pruned from the reader's overlay. No
+// drain, no wait: ShardedStats::drains stays untouched by find (asserted by
 // tests/linearizability_test.cpp, which hammers this path with reader
 // storms against writer storms and checks every observation against the
 // acknowledged-write envelope).
+//
+// Reclamation (shard/reclaim.hpp): the view and the overlay are raw
+// pointers to immutable objects. The worker retires each view it replaces,
+// the owner each overlay it replaces, and a retired object is freed once no
+// reader can still hold it. A find announces the reclamation epoch in its
+// thread's own cache line before it loads either pointer and clears it
+// after the probe, and counts itself in its thread's stripe of the facade's
+// counters — so a find writes no memory another thread writes (no
+// refcount, no lock, no shared counter; past 64 concurrent reader threads
+// the extra ones share one counter stripe) and reads scale with reader
+// threads. Writers never wait for readers: a stalled reader delays frees,
+// never a publish, and with no reader inside find() a retire frees at once.
+// snapshot() reads the view under the same guard and copies the data it
+// keeps; the facade's submit path never dereferences a view (it prunes
+// against the sequence), so the owner holds no guard and never delays a
+// free. Destroying the facade joins the workers, then frees every
+// published and retired object.
 //
 // Cursors: a sharded cursor seeks against the facade's current snapshot
 // and then STAYS VALID across arbitrary mutations — the segments it reads
@@ -96,6 +115,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <concepts>
 #include <cstddef>
@@ -115,6 +135,7 @@
 #include "common/entry.hpp"
 #include "common/snapshot.hpp"
 #include "common/span.hpp"
+#include "shard/reclaim.hpp"
 #include "shard/spsc_queue.hpp"
 
 namespace costream::shard {
@@ -147,38 +168,6 @@ struct ShardedStats {
   std::uint64_t learned_splitters = 0;  // 1 if quantile learning fired
   std::uint64_t finds = 0;         // barrier-free point reads served
   std::uint64_t find_retries = 0;  // sequence re-checks that looped
-};
-
-/// A published shared_ptr slot readable from any thread while one thread
-/// republishes. libstdc++'s std::atomic<std::shared_ptr> guards its raw
-/// pointer with a lock bit whose reader-side unlock is relaxed (GCC 12,
-/// bits/shared_ptr_atomic.h), so ThreadSanitizer flags reader loads
-/// racing writer stores; a plain mutex held only for the refcount bump
-/// gives the ordering the optimistic-read protocol needs (per-slot
-/// coherence plus acquire/release on every load/store) and stays
-/// TSan-clean. The lock is never held while a job applies, so readers
-/// still never wait on writers.
-template <class T>
-class PublishedSlot {
- public:
-  std::shared_ptr<T> load() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return p_;
-  }
-  void store(std::shared_ptr<T> v) {
-    // Swap under the lock, release the old value outside it: the previous
-    // view may be the last reference to a deep segment list.
-    std::shared_ptr<T> old;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      old.swap(p_);
-      p_ = std::move(v);
-    }
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::shared_ptr<T> p_;
 };
 
 template <class Inner, class K = Key, class V = Value>
@@ -276,8 +265,10 @@ class ShardedDictionary {
     s.drains = stats_.drains.load(std::memory_order_relaxed);
     s.learned_splitters =
         stats_.learned_splitters.load(std::memory_order_relaxed);
-    s.finds = stats_.finds.load(std::memory_order_relaxed);
-    s.find_retries = stats_.find_retries.load(std::memory_order_relaxed);
+    for (const FindStripe& f : stats_.find_stripes) {
+      s.finds += f.finds.load(std::memory_order_relaxed);
+      s.find_retries += f.retries.load(std::memory_order_relaxed);
+    }
     return s;
   }
 
@@ -357,9 +348,10 @@ class ShardedDictionary {
   // -- readers ----------------------------------------------------------------
 
   /// Barrier-free linearizable point lookup (any thread, never blocks on
-  /// writers, zero drains — header comment "Optimistic reads" has the full
-  /// protocol and the coverage proof). Probes the acknowledged-pending
-  /// overlay newest-first, then the worker-published immutable view, and
+  /// writers, zero drains, writes nothing another thread writes — header
+  /// comment "Optimistic reads" has the full protocol, the coverage proof
+  /// and the reclamation rule). Probes the acknowledged-pending overlay
+  /// newest-first, then the worker-published immutable view, and
   /// re-validates against the shard's publication sequence with bounded
   /// retries: every view is self-consistent, so the loop bound caps
   /// latency without risking a torn read.
@@ -371,17 +363,17 @@ class ShardedDictionary {
       return std::nullopt;
     }
     const Shard& sh = *shards_[shard_of(k)];
-    stats_.finds.fetch_add(1, std::memory_order_relaxed);
+    const reclaim::ReadGuard guard;  // everything loaded below stays alive
+    const std::size_t slot = guard.slot_index();
+    FindStripe& stripe = stats_.stripe(slot);
+    FindStripe::bump(stripe.finds, slot);
     for (int attempt = 0;; ++attempt) {
       const std::uint64_t seq0 = sh.pub_seq.load(std::memory_order_acquire);
-      // Overlay BEFORE view: the facade prunes the overlay against a view
-      // it loaded before publishing, so loading in this order guarantees
-      // (read-read coherence on pub_view) that our view covers every run
-      // pruned from our overlay.
-      const std::shared_ptr<const PendingList> pend =
-          sh.pending.load();
-      const std::shared_ptr<const ShardView> view =
-          sh.pub_view.load();
+      // Overlay BEFORE view: the facade prunes the overlay against the
+      // sequence it loaded before publishing, so loading in this order
+      // guarantees our view covers every run pruned from our overlay.
+      const PendingList* pend = sh.pending.load(std::memory_order_seq_cst);
+      const ShardView* view = sh.pub_view.load(std::memory_order_seq_cst);
       const std::uint64_t applied = view != nullptr ? view->jobs_applied : 0;
       std::optional<V> out;
       bool hit = false;
@@ -396,14 +388,14 @@ class ShardedDictionary {
           }
         }
       }
-      if (!hit && view != nullptr) {
-        out = snap::Snapshot<K, V>(view->data).find(k);
+      if (!hit && view != nullptr && view->data != nullptr) {
+        out = snap::find_in(*view->data, k);
       }
       if (sh.pub_seq.load(std::memory_order_acquire) == seq0 ||
           attempt >= kFindRetries) {
         return out;
       }
-      stats_.find_retries.fetch_add(1, std::memory_order_relaxed);
+      FindStripe::bump(stripe.retries, slot);
     }
   }
 
@@ -427,11 +419,7 @@ class ShardedDictionary {
     snap_parts_.clear();
     snap_parts_.reserve(shards_.size());
     for (const auto& sh : shards_) {
-      const std::shared_ptr<const ShardView> view =
-          sh->pub_view.load();
-      snap_parts_.push_back(view != nullptr
-                                ? snap::Snapshot<K, V>(view->data)
-                                : snap::Snapshot<K, V>());
+      snap_parts_.push_back(snap::Snapshot<K, V>(sh->view_data()));
     }
     snap_cache_ = fuse_snapshots(snap_parts_, e);
     snap_parts_.clear();  // the fused snapshot co-owns the segments
@@ -540,8 +528,9 @@ class ShardedDictionary {
 
   /// What a shard worker publishes after every applied job: the shard's
   /// contents as an immutable segment view plus how many jobs it covers.
-  /// Readers co-own it via atomic shared_ptr — a republish can never pull
-  /// a view out from under a reader mid-probe.
+  /// Readers reach it through a raw pointer under a reclaim::ReadGuard — a
+  /// republish retires the old view, so it can never be freed out from
+  /// under a reader mid-probe.
   struct ShardView {
     std::shared_ptr<const snap::SnapshotData<K, V>> data;
     std::uint64_t jobs_applied = 0;
@@ -572,7 +561,8 @@ class ShardedDictionary {
   /// The facade's acknowledged-pending overlay for one shard: every run
   /// handed to the ring whose coverage by the published view the facade
   /// had not yet observed at publish time, job index ascending. Immutable
-  /// once stored; the facade replaces the whole list on each submit.
+  /// once stored; the facade replaces the whole list on each submit and
+  /// retires the old one.
   struct PendingList {
     std::vector<PendingRun> runs;
   };
@@ -591,11 +581,17 @@ class ShardedDictionary {
       worker = std::thread([this] { run(); });
     }
 
+    /// Joins the worker, then frees the published objects; the retire
+    /// lists free the rest. No reader may still be inside find().
     ~Shard() {
       stop.store(true, std::memory_order_release);
       items.release();
       if (worker.joinable()) worker.join();
+      delete pub_view.load(std::memory_order_relaxed);
+      delete pending.load(std::memory_order_relaxed);
     }
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
 
     void run() {
       std::uint64_t applied = 0;
@@ -635,16 +631,32 @@ class ShardedDictionary {
       }
     }
 
-    /// Republish this shard's immutable view covering `applied_jobs` jobs,
-    /// then bump the sequence readers validate against. Publish-before-
-    /// completed ordering lets drainers trust the view they load after
-    /// observing completed == submitted.
+    /// Republish this shard's immutable view covering `applied_jobs` jobs
+    /// — the inner's snapshot(), whose per-epoch cache makes an unmutated
+    /// republish a refcount bump — then advance the sequence readers
+    /// validate against and the facade prunes against, and retire the
+    /// replaced view. Publish-before-completed ordering lets drainers trust
+    /// the view they load after observing completed == submitted. Runs on
+    /// the worker (on the constructing thread for the initial view), which
+    /// owns retired_views.
     void publish(std::uint64_t applied_jobs) {
-      auto v = std::make_shared<ShardView>();
-      v->data = snap::publish_view<K, V>(dict);
+      auto v = std::make_unique<ShardView>();
+      if constexpr (requires(const Inner& d) { d.snapshot(); }) {
+        v->data = dict.snapshot().data();
+      }
+      // A snapshot-less inner (test doubles) publishes no data: readers
+      // see it as empty, exactly like the ordered-read paths would.
       v->jobs_applied = applied_jobs;
-      pub_view.store(std::move(v));
-      pub_seq.fetch_add(1, std::memory_order_release);
+      const ShardView* old = pub_view.exchange(v.release(), std::memory_order_seq_cst);
+      pub_seq.store(applied_jobs, std::memory_order_release);
+      retired_views.retire(old);
+    }
+
+    /// The published view's data, copied under a read guard (any thread).
+    std::shared_ptr<const snap::SnapshotData<K, V>> view_data() const {
+      const reclaim::ReadGuard guard;
+      const ShardView* v = pub_view.load(std::memory_order_seq_cst);
+      return v != nullptr ? v->data : nullptr;
     }
 
     Inner dict;
@@ -654,11 +666,15 @@ class ShardedDictionary {
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> submitted{0};  // written by the owner thread
     // Publication state (header comment "Optimistic reads"): the worker's
-    // immutable view + sequence, and the facade's acknowledged-pending
-    // overlay. All three are read by any number of reader threads.
+    // immutable view + sequence (the jobs that view covers), and the
+    // facade's acknowledged-pending overlay. All three are read by any
+    // number of reader threads; each pointer's writer retires what it
+    // replaces into its own list.
     std::atomic<std::uint64_t> pub_seq{0};
-    PublishedSlot<const ShardView> pub_view;
-    PublishedSlot<const PendingList> pending;
+    std::atomic<const ShardView*> pub_view{nullptr};
+    std::atomic<const PendingList*> pending{nullptr};
+    reclaim::RetireList<ShardView> retired_views;      // worker thread
+    reclaim::RetireList<PendingList> retired_pending;  // owner thread
     // First exception the worker caught; `failed` publishes it (the store
     // is release, the facade's load acquire, so the exception_ptr write
     // happens-before any rethrow).
@@ -686,16 +702,16 @@ class ShardedDictionary {
   }
 
   /// Replace `sh`'s acknowledged-pending overlay: keep the previous runs
-  /// the published view still does not cover, append the new one. Loading
-  /// the view BEFORE storing the overlay is what the readers' overlay-then-
-  /// view load order pairs with (coverage proof in the header comment).
+  /// the published view still does not cover, append the new one, retire
+  /// the old list. Loading the sequence BEFORE storing the overlay is what
+  /// the readers' overlay-then-view load order pairs with (coverage proof
+  /// in the header comment).
   void publish_pending(Shard& sh, PendingRun&& r) {
-    const std::shared_ptr<const ShardView> view =
-        sh.pub_view.load();
-    const std::uint64_t applied = view != nullptr ? view->jobs_applied : 0;
-    const std::shared_ptr<const PendingList> prev =
-        sh.pending.load();  // facade is the sole writer of this slot
-    auto next = std::make_shared<PendingList>();
+    const std::uint64_t applied = sh.pub_seq.load(std::memory_order_acquire);
+    // The facade is this pointer's only writer, so its current list cannot
+    // be retired under it.
+    const PendingList* prev = sh.pending.load(std::memory_order_relaxed);
+    auto next = std::make_unique<PendingList>();
     if (prev != nullptr) {
       next->runs.reserve(prev->runs.size() + 1);
       for (const PendingRun& pr : prev->runs) {
@@ -703,7 +719,8 @@ class ShardedDictionary {
       }
     }
     next->runs.push_back(std::move(r));
-    sh.pending.store(std::move(next));
+    sh.retired_pending.retire(
+        sh.pending.exchange(next.release(), std::memory_order_seq_cst));
   }
 
   void single(const Op<K, V>& o) {
@@ -824,11 +841,33 @@ class ShardedDictionary {
     for (const auto& sh : shards_) drain_shard(*sh);
   }
 
+  /// One reader thread's share of the find counters, alone on its cache
+  /// line. Reclamation slot i < kFindStripes owns stripe i — one thread at
+  /// a time holds a slot, and a slot changes hands with release/acquire —
+  /// so its counts are plain increments, no read-modify-write; slots past
+  /// that share the last stripe through fetch_add. Either way the counts
+  /// stay exact.
+  static constexpr std::size_t kFindStripes = 64;
+  struct alignas(64) FindStripe {
+    std::atomic<std::uint64_t> finds{0}, retries{0};
+    static void bump(std::atomic<std::uint64_t>& c, std::size_t slot) noexcept {
+      if (slot < kFindStripes) {
+        c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+      } else {
+        c.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+
   /// Internal counters: atomics so const read paths can bump them from any
   /// thread (ShardedStats is the plain photograph stats() returns).
   struct AtomicShardedStats {
     std::atomic<std::uint64_t> jobs{0}, batches{0}, singles{0}, drains{0},
-        learned_splitters{0}, finds{0}, find_retries{0};
+        learned_splitters{0};
+    std::array<FindStripe, kFindStripes + 1> find_stripes;
+    FindStripe& stripe(std::size_t slot) noexcept {
+      return find_stripes[std::min(slot, kFindStripes)];
+    }
     void copy_from(const AtomicShardedStats& o) noexcept {
       jobs.store(o.jobs.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
@@ -841,10 +880,14 @@ class ShardedDictionary {
       learned_splitters.store(
           o.learned_splitters.load(std::memory_order_relaxed),
           std::memory_order_relaxed);
-      finds.store(o.finds.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      find_retries.store(o.find_retries.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
+      for (std::size_t i = 0; i < find_stripes.size(); ++i) {
+        find_stripes[i].finds.store(
+            o.find_stripes[i].finds.load(std::memory_order_relaxed),
+            std::memory_order_relaxed);
+        find_stripes[i].retries.store(
+            o.find_stripes[i].retries.load(std::memory_order_relaxed),
+            std::memory_order_relaxed);
+      }
     }
   };
 

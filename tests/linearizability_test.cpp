@@ -23,13 +23,17 @@
 // oracle bites (acked-but-unapplied writes go missing and are caught).
 //
 // The hammer also asserts find() performs ZERO drain barriers: the
-// ShardedStats::drains delta across the storm must be exactly zero.
+// ShardedStats::drains delta across the storm must be exactly zero. The
+// read protocol's reclamation (shard/reclaim.hpp) has its own checks:
+// waves of short-lived reader threads must leave exactly the live segments
+// a reader-free twin leaves, and the striped find counters must stay exact.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <mutex>
@@ -39,6 +43,7 @@
 
 #include "cola/cola.hpp"
 #include "common/rng.hpp"
+#include "common/snapshot.hpp"
 #include "common/span.hpp"
 #include "shard/sharded_dictionary.hpp"
 #include "storage/durable_dict.hpp"
@@ -486,6 +491,149 @@ TEST(Linearizability, ConcurrentFindersAndStatsReadersAreRaceFree) {
   const auto s = d.stats();
   EXPECT_GE(s.singles, 2'000u);
   EXPECT_GT(s.finds, 0u);
+}
+
+// Reclamation under reader churn. Waves of short-lived reader threads storm
+// find() while the owner applies a fixed feed (inline folds, fixed
+// splitters: the shard contents are a function of the feed alone). Retired
+// views a reader still held must be freed by a later retire once the
+// readers are gone, so after one more batch on every shard and a drain the
+// facade holds exactly the live segments a reader-free twin fed the same
+// ops holds — and the twin, whose every retire ran with no reader inside
+// find(), holds only the segments its current views reference. Destroying
+// either returns the census to its baseline.
+struct ChurnCensus {
+  std::int64_t live = 0;          // live segments at the quiescent point
+  std::int64_t view_segments = 0;  // segments the current views reference
+};
+
+std::vector<Op<Key, Value>> churn_batch(std::uint64_t b) {
+  Xoshiro256 rng(0xc0ffee + b);
+  std::vector<Op<Key, Value>> ops;
+  for (int j = 0; j < 32; ++j) {
+    const std::uint64_t li = rng() % kKeys;
+    const auto ver = static_cast<std::uint32_t>(b + 1);
+    ops.push_back(is_erase(li, ver) ? Op<Key, Value>::del(phys(li))
+                                    : Op<Key, Value>::put(phys(li), encode(li, ver)));
+  }
+  return ops;
+}
+
+ChurnCensus census_after_churn_feed(bool with_readers) {
+  constexpr int kWaves = 8;
+  constexpr int kReaders = 4;
+  constexpr int kBatchesPerWave = 40;
+  constexpr int kMinFindsPerReader = 500;
+  const std::int64_t base = snap::live_segment_count().load();
+  ChurnCensus census;
+  {
+    ShardedConfig<> sc;
+    sc.shards = 2;
+    sc.splitters = even_splitters(2, kKeys);
+    ShardedDictionary<cola::Gcola<>> d(sc, [](std::size_t) {
+      cola::ColaConfig cfg = cola::ingest_tuned(4, 24);
+      cfg.compaction_threads = 0;
+      return cola::Gcola<>(cfg);
+    });
+    std::uint64_t b = 0;
+    for (int wave = 0; wave < kWaves; ++wave) {
+      std::atomic<bool> stop{false};
+      std::vector<std::thread> readers;
+      for (int t = 0; with_readers && t < kReaders; ++t) {
+        readers.emplace_back([&d, &stop, wave, t] {
+          Xoshiro256 rng(static_cast<std::uint64_t>(wave * 16 + t + 1));
+          for (int i = 0; i < kMinFindsPerReader || !stop.load(std::memory_order_acquire);
+               ++i) {
+            (void)d.find(phys(rng() % kKeys));
+          }
+        });
+      }
+      for (int j = 0; j < kBatchesPerWave; ++j) {
+        const auto ops = churn_batch(b++);
+        d.apply_batch(Span<Op<Key, Value>>(ops.data(), ops.size()));
+      }
+      stop.store(true, std::memory_order_release);
+      for (auto& th : readers) th.join();
+    }
+    // One more batch with a key on each shard: every worker and the owner
+    // retire once more, now with no reader inside find().
+    auto last = churn_batch(b);
+    last.push_back(Op<Key, Value>::put(phys(0), encode(0, 1)));
+    last.push_back(Op<Key, Value>::put(phys(kKeys - 1), encode(kKeys - 1, 1)));
+    d.apply_batch(Span<Op<Key, Value>>(last.data(), last.size()));
+    d.drain();
+    census.live = snap::live_segment_count().load() - base;
+    census.view_segments = static_cast<std::int64_t>(d.snapshot().segments().size());
+  }
+  EXPECT_EQ(snap::live_segment_count().load(), base)
+      << "destroying the facade must free every published and retired view";
+  return census;
+}
+
+TEST(Linearizability, ReaderChurnLeavesWhatAReaderFreeTwinLeaves) {
+  const ChurnCensus churned = census_after_churn_feed(/*with_readers=*/true);
+  const ChurnCensus twin = census_after_churn_feed(/*with_readers=*/false);
+  EXPECT_GT(twin.view_segments, 0);
+  EXPECT_EQ(twin.live, twin.view_segments) << "a retire with no reader left garbage";
+  EXPECT_EQ(churned.view_segments, twin.view_segments);
+  EXPECT_EQ(churned.live, twin.live)
+      << "a retired view outlived every reader that could hold it";
+}
+
+// Finds are counted in per-thread stripes; the total must stay exact. Two
+// waves of R threads (the second reuses the first wave's reclamation
+// slots) each do M finds while the owner keeps publishing; a third wave is
+// wider than the stripes: its threads all hold their slots at once, so the
+// slots past the 64th count through the one stripe they share.
+TEST(Linearizability, StripedFindCountsAreExact) {
+  constexpr int kReaders = 6;
+  constexpr int kFinds = 5'000;
+  constexpr int kWide = 72;
+  constexpr int kWideFinds = 1'000;
+  ShardedConfig<> sc;
+  sc.shards = 2;
+  sc.splitters = even_splitters(2, kKeys);
+  ShardedDictionary<cola::Gcola<>> d(sc, [](std::size_t) {
+    return cola::Gcola<>(cola::ingest_tuned(4, 24));
+  });
+  d.insert(phys(0), encode(0, 1));
+  const shard::ShardedStats before = d.stats();
+  for (int wave = 0; wave < 2; ++wave) {
+    std::atomic<bool> done{false};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&d, wave, t] {
+        Xoshiro256 rng(static_cast<std::uint64_t>(100 + wave * 16 + t));
+        for (int i = 0; i < kFinds; ++i) (void)d.find(phys(rng() % kKeys));
+      });
+    }
+    std::thread writer([&d, &done] {
+      Xoshiro256 rng(7);
+      for (std::uint32_t v = 2; !done.load(std::memory_order_acquire); ++v) {
+        const std::uint64_t li = rng() % kKeys;
+        d.insert(phys(li), encode(li, v));
+      }
+    });
+    for (auto& th : readers) th.join();
+    done.store(true, std::memory_order_release);
+    writer.join();
+  }
+  std::latch all_hold_slots(kWide);
+  std::vector<std::thread> wide;
+  for (int t = 0; t < kWide; ++t) {
+    wide.emplace_back([&d, &all_hold_slots, t] {
+      Xoshiro256 rng(static_cast<std::uint64_t>(500 + t));
+      (void)d.find(phys(rng() % kKeys));  // takes this thread's slot
+      all_hold_slots.arrive_and_wait();
+      for (int i = 1; i < kWideFinds; ++i) (void)d.find(phys(rng() % kKeys));
+    });
+  }
+  for (auto& th : wide) th.join();
+  const shard::ShardedStats after = d.stats();
+  EXPECT_EQ(after.finds - before.finds,
+            std::uint64_t{2} * kReaders * kFinds + std::uint64_t{kWide} * kWideFinds);
+  EXPECT_LE(after.find_retries - before.find_retries,
+            (after.finds - before.finds) * 3);
 }
 
 }  // namespace

@@ -11,10 +11,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/dictionary.hpp"
@@ -405,19 +407,36 @@ TEST(Snapshot, StagedRunsArePinnedNotRecollapsed) {
   }
 }
 
+bool compaction_forced_sync() {
+  const char* e = std::getenv("COSTREAM_COMPACTION");
+  return e != nullptr && std::string(e) == "sync";
+}
+
 TEST(Snapshot, StagedViewsMatchLiveFindAndModel) {
   // Differential: snapshots of arenas whose runs hold cross-run duplicates
   // and tombstones shadowing level data read exactly like the live
   // structure and a std::map model — through Snapshot::find, full scans,
   // and bounded cursor seeks — and keep reading their stamp afterwards.
+  // The background arm (tiered only: one pool thread, installs deferred to
+  // the next fold or a drain) adds views that hold an in-flight fold's
+  // filterless inputs next to filtered segments, so Snapshot::find's
+  // prefetch pass meets filter blocks and unfiltered segments in one view.
   constexpr Key kUniverse = 600;
-  for (const bool tiered : {true, false}) {
+  for (const auto& [tiered, background] :
+       {std::pair{true, false}, std::pair{false, false}, std::pair{true, true}}) {
     for (const bool fences : {true, false}) {
       for (const bool filters : {false, true}) {
         SCOPED_TRACE(std::string(tiered ? "tiered" : "classic") +
                      (fences ? " fences" : " no-fences") +
-                     (filters ? " filters" : " no-filters"));
-        cola::Gcola<> d(staged_config(tiered, fences, filters));
+                     (filters ? " filters" : " no-filters") +
+                     (background ? " background" : ""));
+        cola::ColaConfig cfg = staged_config(tiered, fences, filters);
+        if (background) {
+          cfg.compaction_threads = 1;
+          cfg.unsafe_defer_install = true;
+        }
+        cola::Gcola<> d(cfg);
+        bool saw_mixed_view = false;
         Model model;
         std::vector<Entry<>> preload;
         for (Key k = 0; k < kUniverse; ++k) {
@@ -452,6 +471,11 @@ TEST(Snapshot, StagedViewsMatchLiveFindAndModel) {
           }
           max_runs = std::max(max_runs, d.stage_run_count());
           const snap::Snapshot<> snap = d.snapshot();
+          bool filtered = false, unfiltered = false;
+          for (const snap::SegmentRef<>& seg : snap.segments()) {
+            (seg->filter.empty() ? unfiltered : filtered) = true;
+          }
+          saw_mixed_view = saw_mixed_view || (filtered && unfiltered);
           expect_snapshot_matches(snap, model, kUniverse);
           for (Key k = 0; k < kUniverse; ++k) {
             ASSERT_EQ(snap.find(k), d.find(k)) << "round " << round << " key " << k;
@@ -473,6 +497,10 @@ TEST(Snapshot, StagedViewsMatchLiveFindAndModel) {
           }
         }
         EXPECT_GE(max_runs, 3u) << "the arena never held several runs";
+        if (background && filters && !compaction_forced_sync()) {
+          EXPECT_TRUE(saw_mixed_view)
+              << "no view held a pending fold's filterless inputs";
+        }
         d.check_invariants();
       }
     }
