@@ -2,16 +2,18 @@
 //
 // The facade's barrier-free find() (shard/sharded_dictionary.hpp) reads two
 // immutable objects per shard through raw pointers: the shard worker's
-// published view and the owner's acknowledged-pending overlay. The thread
-// that replaces one RETIRES the old object here instead of freeing it, and
-// the object is freed once no reader can still hold it. A reader writes
-// only its own cache line and performs no read-modify-write:
+// published view and the owner's acknowledged-pending overlay. A replaced
+// object is RETIRED here instead of freed, and freed once no reader can
+// still hold it. A reader writes only its own cache line and performs no
+// read-modify-write:
 //
 //   * Every thread that reads takes a Slot — one cache line holding the
 //     reclamation epoch it reads at, 0 while it holds nothing — from a
 //     process-wide, grow-only registry. It keeps the slot for its lifetime
 //     and hands it back at thread exit, so any number of reader threads
-//     works and exited threads' slots are reused, not leaked.
+//     works and exited threads' slots are reused, not leaked. The registry
+//     is a list in index order and a new thread takes the LOWEST free
+//     index, so slot indices stay as dense as the live reader threads.
 //   * A ReadGuard loads the global epoch E and announces it in the slot
 //     BEFORE the reader loads a protected pointer, and clears the slot once
 //     the reader is done with everything it loaded.
@@ -19,14 +21,20 @@
 //     with E and bumps E. An object stamped e is freed once no slot
 //     announces an epoch <= e: a reader announcing a > e loaded E after the
 //     bump, so it loaded the pointer after the unlink and cannot hold the
-//     object. Announcements, pointer loads and the bump are seq_cst
-//     operations on the atomics themselves — no standalone fences, which
-//     ThreadSanitizer does not model — and the argument is the single total
-//     order of seq_cst operations. The clear is a release store: a
-//     retirer's seq_cst load that reads it acquires the reader's accesses.
-//   * Writers never wait: retire() frees what it can and keeps the rest for
-//     its next call or the list's destruction. A stalled reader delays
-//     frees, never a publish; with no reader inside a guard, a retire frees
+//     object. Announcements, pointer loads, the bump, the links of the
+//     registry list and a retirer's walk of them are seq_cst operations on
+//     the atomics themselves — no standalone fences, which ThreadSanitizer
+//     does not model — and the argument is the single total order of
+//     seq_cst operations: a new thread links its slot before it announces,
+//     so a retirer's walk that follows the announcement in that order finds
+//     the slot (with acquire/release links the walk could miss it — the
+//     store-buffering shape). The clear is a release store: a retirer's
+//     seq_cst load that reads it acquires the reader's accesses.
+//   * Writers never wait: retire() frees what it can and keeps the rest,
+//     and the owning thread runs collect() while the list is not empty, so
+//     a stalled reader delays frees, never a publish, and a retired object
+//     is freed soon after the last reader that could hold it leaves, with
+//     no further retire. With no reader inside a guard, a retire frees
 //     everything at once.
 #pragma once
 
@@ -42,8 +50,8 @@ namespace costream::reclaim {
 struct alignas(64) Slot {
   std::atomic<std::uint64_t> announced{0};  // epoch read at; 0 = none held
   std::atomic<bool> in_use{false};
-  std::size_t index = 0;  // dense registry position: 0, 1, 2, ...
-  Slot* next = nullptr;   // registry link, immutable once published
+  std::size_t index = 0;            // registry position: 0, 1, 2, ...
+  std::atomic<Slot*> next{nullptr};  // registry link, set once
 };
 
 /// The process-wide slot list and epoch clock. Trivially destructible, so
@@ -58,25 +66,34 @@ class Registry {
 
   std::atomic<std::uint64_t>& clock() noexcept { return epoch_; }
 
-  /// A free slot for the calling thread: a released one if any, else a
-  /// new one pushed onto the list.
+  /// The free slot with the lowest index for the calling thread, appended
+  /// at the tail when every slot is taken.
   Slot& acquire() {
-    for (Slot* s = head_.load(std::memory_order_acquire); s != nullptr; s = s->next) {
+    Slot* fresh = nullptr;
+    std::atomic<Slot*>* link = &head_;
+    std::size_t index = 0;
+    for (;;) {
+      Slot* s = link->load(std::memory_order_seq_cst);
+      if (s == nullptr) {
+        if (fresh == nullptr) {
+          fresh = new Slot;
+          fresh->in_use.store(true, std::memory_order_relaxed);
+        }
+        fresh->index = index;
+        if (link->compare_exchange_strong(s, fresh, std::memory_order_seq_cst)) {
+          return *fresh;
+        }
+        // Another thread appended first; `s` is its slot, walk on.
+      }
       bool expected = false;
       if (!s->in_use.load(std::memory_order_relaxed) &&
           s->in_use.compare_exchange_strong(expected, true, std::memory_order_acquire)) {
+        delete fresh;
         return *s;
       }
+      index = s->index + 1;
+      link = &s->next;
     }
-    Slot* s = new Slot;
-    s->in_use.store(true, std::memory_order_relaxed);
-    s->index = count_.fetch_add(1, std::memory_order_relaxed);
-    Slot* h = head_.load(std::memory_order_relaxed);
-    do {
-      s->next = h;
-    } while (!head_.compare_exchange_weak(h, s, std::memory_order_release,
-                                          std::memory_order_relaxed));
-    return *s;
   }
 
   static void release(Slot& s) noexcept {
@@ -87,8 +104,8 @@ class Registry {
   /// The oldest epoch any reader announces, or the maximum when none does.
   std::uint64_t oldest_reader() const noexcept {
     std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (const Slot* s = head_.load(std::memory_order_acquire); s != nullptr;
-         s = s->next) {
+    for (const Slot* s = head_.load(std::memory_order_seq_cst); s != nullptr;
+         s = s->next.load(std::memory_order_seq_cst)) {
       const std::uint64_t a = s->announced.load(std::memory_order_seq_cst);
       if (a != 0 && a < oldest) oldest = a;
     }
@@ -98,7 +115,6 @@ class Registry {
  private:
   std::atomic<std::uint64_t> epoch_{1};  // 0 is the "holds nothing" mark
   std::atomic<Slot*> head_{nullptr};
-  std::atomic<std::size_t> count_{0};
 };
 
 namespace detail {
@@ -146,34 +162,42 @@ class ReadGuard {
   ReadGuard(const ReadGuard&) = delete;
   ReadGuard& operator=(const ReadGuard&) = delete;
 
-  /// The slot's dense registry index (per-thread counter stripes).
+  /// The slot's registry index (per-thread counter stripes).
   std::size_t slot_index() const noexcept { return slot_.index; }
 
  private:
   Slot& slot_;
 };
 
-/// Objects one thread unlinked and has not freed yet. Single-threaded: the
-/// thread that replaces a published pointer owns the list it retires into.
-template <class T>
+/// Objects one thread unlinked and has not freed yet, of any types.
+/// Single-threaded: one thread retires into a list and runs its collects.
 class RetireList {
  public:
   RetireList() = default;
   RetireList(const RetireList&) = delete;
   RetireList& operator=(const RetireList&) = delete;
-  ~RetireList() { for (const Retired& r : items_) delete r.obj; }
+  ~RetireList() {
+    for (const Retired& r : items_) r.free(r.obj);
+  }
 
   /// Take `old`, already unlinked from everywhere a reader could load it,
-  /// then free every object on the list no reader can still hold.
+  /// then collect().
+  template <class T>
   void retire(const T* old) {
     if (old == nullptr) return;
-    Registry& reg = Registry::instance();
-    items_.push_back(Retired{reg.clock().fetch_add(1, std::memory_order_seq_cst), old});
-    const std::uint64_t oldest = reg.oldest_reader();
+    items_.push_back(Retired{Registry::instance().clock().fetch_add(1, std::memory_order_seq_cst),
+                             old, [](const void* p) { delete static_cast<const T*>(p); }});
+    collect();
+  }
+
+  /// Free every object on the list no reader can still hold.
+  void collect() {
+    if (items_.empty()) return;
+    const std::uint64_t oldest = Registry::instance().oldest_reader();
     std::size_t kept = 0;
     for (const Retired& r : items_) {
       if (r.epoch < oldest) {
-        delete r.obj;
+        r.free(r.obj);
       } else {
         items_[kept++] = r;
       }
@@ -181,10 +205,13 @@ class RetireList {
     items_.resize(kept);
   }
 
+  bool empty() const noexcept { return items_.empty(); }
+
  private:
   struct Retired {
     std::uint64_t epoch;
-    const T* obj;
+    const void* obj;
+    void (*free)(const void*);
   };
   std::vector<Retired> items_;
 };

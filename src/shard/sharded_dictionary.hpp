@@ -79,21 +79,24 @@
 // acknowledged-write envelope).
 //
 // Reclamation (shard/reclaim.hpp): the view and the overlay are raw
-// pointers to immutable objects. The worker retires each view it replaces,
-// the owner each overlay it replaces, and a retired object is freed once no
+// pointers to immutable objects. The worker retires each view it replaces;
+// the owner hands each overlay it replaces to the worker inside the job it
+// submits, and the worker retires it. A retired object is freed once no
 // reader can still hold it. A find announces the reclamation epoch in its
 // thread's own cache line before it loads either pointer and clears it
 // after the probe, and counts itself in its thread's stripe of the facade's
 // counters — so a find writes no memory another thread writes (no
 // refcount, no lock, no shared counter; past 64 concurrent reader threads
-// the extra ones share one counter stripe) and reads scale with reader
-// threads. Writers never wait for readers: a stalled reader delays frees,
-// never a publish, and with no reader inside find() a retire frees at once.
-// snapshot() reads the view under the same guard and copies the data it
-// keeps; the facade's submit path never dereferences a view (it prunes
-// against the sequence), so the owner holds no guard and never delays a
-// free. Destroying the facade joins the workers, then frees every
-// published and retired object.
+// stripes are shared, still exact) and reads scale with reader threads.
+// Writers never wait for readers: a stalled reader delays frees, never a
+// publish. With no reader inside find() a retire frees at once; what a
+// reader held is freed by the worker's next retire, or, once writes stop,
+// by its idle pass within kReclaimPoll, so memory at a quiescent point is
+// just what the current views and overlays reference. snapshot() reads the
+// view under the same guard and copies the data it keeps; the facade's
+// submit path never dereferences a view (it prunes against the sequence),
+// so the owner holds no guard and never delays a free. Destroying the
+// facade joins the workers, then frees every published and retired object.
 //
 // Cursors: a sharded cursor seeks against the facade's current snapshot
 // and then STAYS VALID across arbitrary mutations — the segments it reads
@@ -117,6 +120,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -364,9 +368,8 @@ class ShardedDictionary {
     }
     const Shard& sh = *shards_[shard_of(k)];
     const reclaim::ReadGuard guard;  // everything loaded below stays alive
-    const std::size_t slot = guard.slot_index();
-    FindStripe& stripe = stats_.stripe(slot);
-    FindStripe::bump(stripe.finds, slot);
+    FindStripe& stripe = stats_.stripe(guard.slot_index());
+    stripe.finds.fetch_add(1, std::memory_order_relaxed);
     for (int attempt = 0;; ++attempt) {
       const std::uint64_t seq0 = sh.pub_seq.load(std::memory_order_acquire);
       // Overlay BEFORE view: the facade prunes the overlay against the
@@ -395,7 +398,7 @@ class ShardedDictionary {
           attempt >= kFindRetries) {
         return out;
       }
-      FindStripe::bump(stripe.retries, slot);
+      stripe.retries.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -517,6 +520,8 @@ class ShardedDictionary {
   }
 
  private:
+  struct PendingList;
+
   /// One run of operations handed to a shard worker. The vector's capacity
   /// circulates through the ring (the worker clears, the producer refills
   /// in place), so steady-state dispatch allocates nothing.
@@ -524,6 +529,8 @@ class ShardedDictionary {
     enum class Kind : std::uint8_t { kApply, kFlush };
     Kind kind = Kind::kApply;
     std::vector<Op<K, V>> ops;
+    // The overlay this job's submit replaced; the worker retires it.
+    const PendingList* replaced_overlay = nullptr;
   };
 
   /// What a shard worker publishes after every applied job: the shard's
@@ -562,7 +569,7 @@ class ShardedDictionary {
   /// handed to the ring whose coverage by the published view the facade
   /// had not yet observed at publish time, job index ascending. Immutable
   /// once stored; the facade replaces the whole list on each submit and
-  /// retires the old one.
+  /// hands the old one to the worker with the job.
   struct PendingList {
     std::vector<PendingRun> runs;
   };
@@ -581,8 +588,9 @@ class ShardedDictionary {
       worker = std::thread([this] { run(); });
     }
 
-    /// Joins the worker, then frees the published objects; the retire
-    /// lists free the rest. No reader may still be inside find().
+    /// Joins the worker (which has retired every queued job's replaced
+    /// overlay), then frees the published objects; the retire list frees
+    /// the rest. No reader may still be inside find().
     ~Shard() {
       stop.store(true, std::memory_order_release);
       items.release();
@@ -596,7 +604,14 @@ class ShardedDictionary {
     void run() {
       std::uint64_t applied = 0;
       for (;;) {
-        items.acquire();
+        // Retired objects a reader still held wait for no further job: an
+        // idle worker frees them every kReclaimPoll until none is left.
+        if (retired.empty()) {
+          items.acquire();
+        } else if (!items.try_acquire_for(kReclaimPoll)) {
+          retired.collect();
+          continue;
+        }
         Job* job = ring.peek();
         if (job == nullptr) {
           if (stop.load(std::memory_order_acquire)) return;
@@ -625,6 +640,7 @@ class ShardedDictionary {
           }
         }
         ++applied;
+        retired.retire(std::exchange(job->replaced_overlay, nullptr));
         job->ops.clear();  // keep capacity: it circulates back to the producer
         ring.pop();
         completed.fetch_add(1, std::memory_order_release);
@@ -638,7 +654,7 @@ class ShardedDictionary {
     /// replaced view. Publish-before-completed ordering lets drainers trust
     /// the view they load after observing completed == submitted. Runs on
     /// the worker (on the constructing thread for the initial view), which
-    /// owns retired_views.
+    /// owns `retired`.
     void publish(std::uint64_t applied_jobs) {
       auto v = std::make_unique<ShardView>();
       if constexpr (requires(const Inner& d) { d.snapshot(); }) {
@@ -649,7 +665,7 @@ class ShardedDictionary {
       v->jobs_applied = applied_jobs;
       const ShardView* old = pub_view.exchange(v.release(), std::memory_order_seq_cst);
       pub_seq.store(applied_jobs, std::memory_order_release);
-      retired_views.retire(old);
+      retired.retire(old);
     }
 
     /// The published view's data, copied under a read guard (any thread).
@@ -668,13 +684,12 @@ class ShardedDictionary {
     // Publication state (header comment "Optimistic reads"): the worker's
     // immutable view + sequence (the jobs that view covers), and the
     // facade's acknowledged-pending overlay. All three are read by any
-    // number of reader threads; each pointer's writer retires what it
-    // replaces into its own list.
+    // number of reader threads; the worker retires the views it replaces
+    // and the overlays its jobs carry.
     std::atomic<std::uint64_t> pub_seq{0};
     std::atomic<const ShardView*> pub_view{nullptr};
     std::atomic<const PendingList*> pending{nullptr};
-    reclaim::RetireList<ShardView> retired_views;      // worker thread
-    reclaim::RetireList<PendingList> retired_pending;  // owner thread
+    reclaim::RetireList retired;  // worker thread
     // First exception the worker caught; `failed` publishes it (the store
     // is release, the facade's load acquire, so the exception_ptr write
     // happens-before any rethrow).
@@ -702,11 +717,11 @@ class ShardedDictionary {
   }
 
   /// Replace `sh`'s acknowledged-pending overlay: keep the previous runs
-  /// the published view still does not cover, append the new one, retire
-  /// the old list. Loading the sequence BEFORE storing the overlay is what
-  /// the readers' overlay-then-view load order pairs with (coverage proof
-  /// in the header comment).
-  void publish_pending(Shard& sh, PendingRun&& r) {
+  /// the published view still does not cover, append the new one, and
+  /// return the old list, which the worker retires. Loading the sequence
+  /// BEFORE storing the overlay is what the readers' overlay-then-view load
+  /// order pairs with (coverage proof in the header comment).
+  const PendingList* publish_pending(Shard& sh, PendingRun&& r) {
     const std::uint64_t applied = sh.pub_seq.load(std::memory_order_acquire);
     // The facade is this pointer's only writer, so its current list cannot
     // be retired under it.
@@ -719,8 +734,18 @@ class ShardedDictionary {
       }
     }
     next->runs.push_back(std::move(r));
-    sh.retired_pending.retire(
-        sh.pending.exchange(next.release(), std::memory_order_seq_cst));
+    return sh.pending.exchange(next.release(), std::memory_order_seq_cst);
+  }
+
+  /// Acknowledge the run in `job` — publish `r`, its immutable copy, into
+  /// the shard's overlay — then queue the job, which carries the replaced
+  /// overlay to the worker.
+  void submit(Shard& sh, Job* job, PendingRun&& r) {
+    job->replaced_overlay = publish_pending(sh, std::move(r));
+    sh.ring.commit_push();
+    sh.submitted.fetch_add(1, std::memory_order_release);
+    stats_.jobs.fetch_add(1, std::memory_order_relaxed);
+    sh.items.release();
   }
 
   void single(const Op<K, V>& o) {
@@ -734,16 +759,11 @@ class ShardedDictionary {
     Job* job = sh.ring.begin_push();
     job->kind = Job::Kind::kApply;
     job->ops.push_back(o);
-    sh.ring.commit_push();
-    const std::uint64_t id =
-        sh.submitted.fetch_add(1, std::memory_order_release) + 1;
-    stats_.jobs.fetch_add(1, std::memory_order_relaxed);
-    stats_.singles.fetch_add(1, std::memory_order_relaxed);
-    sh.items.release();
     PendingRun pr;
-    pr.job = id;
+    pr.job = sh.submitted.load(std::memory_order_relaxed) + 1;
     pr.one = o;
-    publish_pending(sh, std::move(pr));
+    submit(sh, job, std::move(pr));
+    stats_.singles.fetch_add(1, std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
   }
 
@@ -776,15 +796,10 @@ class ShardedDictionary {
         Job* job = sh.ring.begin_push();
         job->kind = Job::Kind::kApply;
         job->ops.assign(at, hi);
-        sh.ring.commit_push();
-        const std::uint64_t id =
-            sh.submitted.fetch_add(1, std::memory_order_release) + 1;
-        stats_.jobs.fetch_add(1, std::memory_order_relaxed);
-        sh.items.release();
         PendingRun pr;
-        pr.job = id;
+        pr.job = sh.submitted.load(std::memory_order_relaxed) + 1;
         pr.run = std::make_shared<const std::vector<Op<K, V>>>(at, hi);
-        publish_pending(sh, std::move(pr));
+        submit(sh, job, std::move(pr));
       }
       at = hi;
     }
@@ -841,22 +856,14 @@ class ShardedDictionary {
     for (const auto& sh : shards_) drain_shard(*sh);
   }
 
-  /// One reader thread's share of the find counters, alone on its cache
-  /// line. Reclamation slot i < kFindStripes owns stripe i — one thread at
-  /// a time holds a slot, and a slot changes hands with release/acquire —
-  /// so its counts are plain increments, no read-modify-write; slots past
-  /// that share the last stripe through fetch_add. Either way the counts
-  /// stay exact.
+  /// One cache line of the find counters. A find counts itself in the
+  /// stripe of its reclamation slot, index mod kFindStripes: slot indices
+  /// stay as dense as the live reader threads, so up to kFindStripes
+  /// readers each count on a line no other thread writes, and beyond that
+  /// the fetch_add keeps shared stripes exact.
   static constexpr std::size_t kFindStripes = 64;
   struct alignas(64) FindStripe {
     std::atomic<std::uint64_t> finds{0}, retries{0};
-    static void bump(std::atomic<std::uint64_t>& c, std::size_t slot) noexcept {
-      if (slot < kFindStripes) {
-        c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-      } else {
-        c.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
   };
 
   /// Internal counters: atomics so const read paths can bump them from any
@@ -864,9 +871,9 @@ class ShardedDictionary {
   struct AtomicShardedStats {
     std::atomic<std::uint64_t> jobs{0}, batches{0}, singles{0}, drains{0},
         learned_splitters{0};
-    std::array<FindStripe, kFindStripes + 1> find_stripes;
+    std::array<FindStripe, kFindStripes> find_stripes;
     FindStripe& stripe(std::size_t slot) noexcept {
-      return find_stripes[std::min(slot, kFindStripes)];
+      return find_stripes[slot % kFindStripes];
     }
     void copy_from(const AtomicShardedStats& o) noexcept {
       jobs.store(o.jobs.load(std::memory_order_relaxed),
@@ -895,6 +902,11 @@ class ShardedDictionary {
   /// (every published view is individually consistent), so a small cap
   /// keeps find wait-free under a republishing storm.
   static constexpr int kFindRetries = 3;
+
+  /// How often an idle worker retries freeing the objects it retired while
+  /// a reader was inside find(): the delay before memory held by a stalled
+  /// or just-finished reader is freed once writes stop.
+  static constexpr std::chrono::milliseconds kReclaimPoll{10};
 
   ShardedConfig<K> cfg_;
   std::vector<K> splitters_;

@@ -45,6 +45,7 @@
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "common/span.hpp"
+#include "shard/reclaim.hpp"
 #include "shard/sharded_dictionary.hpp"
 #include "storage/durable_dict.hpp"
 #include "storage/fault_env.hpp"
@@ -495,15 +496,20 @@ TEST(Linearizability, ConcurrentFindersAndStatsReadersAreRaceFree) {
 
 // Reclamation under reader churn. Waves of short-lived reader threads storm
 // find() while the owner applies a fixed feed (inline folds, fixed
-// splitters: the shard contents are a function of the feed alone). Retired
-// views a reader still held must be freed by a later retire once the
-// readers are gone, so after one more batch on every shard and a drain the
-// facade holds exactly the live segments a reader-free twin fed the same
-// ops holds — and the twin, whose every retire ran with no reader inside
-// find(), holds only the segments its current views reference. Destroying
-// either returns the census to its baseline.
+// splitters: the shard contents are a function of the feed alone); the
+// last batches are applied while the test thread itself holds a read
+// guard, so the workers retire views — holding fold inputs — and overlays
+// a reader could hold. Once the guard is dropped and the facade drained,
+// nothing is applied any more: what the readers held must still be freed,
+// by the workers' idle passes, until the facade holds exactly the live
+// segments a reader-free twin fed the same ops holds. The twin, whose
+// every retire ran with no reader inside a guard, holds only the segments
+// its current views reference as soon as it is drained. Destroying either
+// returns the census to its baseline.
 struct ChurnCensus {
-  std::int64_t live = 0;          // live segments at the quiescent point
+  std::int64_t pinned = 0;         // live segments while the guard was held
+  std::int64_t drained = 0;        // live segments right after the drain
+  std::int64_t live = 0;           // live segments once the idle passes ran
   std::int64_t view_segments = 0;  // segments the current views reference
 };
 
@@ -555,15 +561,25 @@ ChurnCensus census_after_churn_feed(bool with_readers) {
       stop.store(true, std::memory_order_release);
       for (auto& th : readers) th.join();
     }
-    // One more batch with a key on each shard: every worker and the owner
-    // retire once more, now with no reader inside find().
-    auto last = churn_batch(b);
-    last.push_back(Op<Key, Value>::put(phys(0), encode(0, 1)));
-    last.push_back(Op<Key, Value>::put(phys(kKeys - 1), encode(kKeys - 1, 1)));
-    d.apply_batch(Span<Op<Key, Value>>(last.data(), last.size()));
+    {
+      std::optional<reclaim::ReadGuard> pin;
+      if (with_readers) pin.emplace();
+      for (int j = 0; j < kBatchesPerWave; ++j) {
+        const auto ops = churn_batch(b++);
+        d.apply_batch(Span<Op<Key, Value>>(ops.data(), ops.size()));
+      }
+      d.drain();
+      census.pinned = snap::live_segment_count().load() - base;
+    }
     d.drain();
-    census.live = snap::live_segment_count().load() - base;
+    census.drained = snap::live_segment_count().load() - base;
     census.view_segments = static_cast<std::int64_t>(d.snapshot().segments().size());
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (snap::live_segment_count().load() - base != census.view_segments &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    census.live = snap::live_segment_count().load() - base;
   }
   EXPECT_EQ(snap::live_segment_count().load(), base)
       << "destroying the facade must free every published and retired view";
@@ -574,7 +590,10 @@ TEST(Linearizability, ReaderChurnLeavesWhatAReaderFreeTwinLeaves) {
   const ChurnCensus churned = census_after_churn_feed(/*with_readers=*/true);
   const ChurnCensus twin = census_after_churn_feed(/*with_readers=*/false);
   EXPECT_GT(twin.view_segments, 0);
-  EXPECT_EQ(twin.live, twin.view_segments) << "a retire with no reader left garbage";
+  EXPECT_EQ(twin.drained, twin.view_segments) << "a retire with no reader left garbage";
+  EXPECT_EQ(twin.live, twin.drained);
+  EXPECT_GT(churned.pinned, twin.drained)
+      << "the guard held across the last batches kept no retired view alive";
   EXPECT_EQ(churned.view_segments, twin.view_segments);
   EXPECT_EQ(churned.live, twin.live)
       << "a retired view outlived every reader that could hold it";
@@ -584,7 +603,9 @@ TEST(Linearizability, ReaderChurnLeavesWhatAReaderFreeTwinLeaves) {
 // waves of R threads (the second reuses the first wave's reclamation
 // slots) each do M finds while the owner keeps publishing; a third wave is
 // wider than the stripes: its threads all hold their slots at once, so the
-// slots past the 64th count through the one stripe they share.
+// slots past the 64th count in stripes that lower slots count in too. Once
+// that wave is gone, a new thread must take a low slot again — the lowest
+// free one — or every later reader would share a stripe for good.
 TEST(Linearizability, StripedFindCountsAreExact) {
   constexpr int kReaders = 6;
   constexpr int kFinds = 5'000;
@@ -634,6 +655,12 @@ TEST(Linearizability, StripedFindCountsAreExact) {
             std::uint64_t{2} * kReaders * kFinds + std::uint64_t{kWide} * kWideFinds);
   EXPECT_LE(after.find_retries - before.find_retries,
             (after.finds - before.finds) * 3);
+  std::size_t late_slot = 0;
+  std::thread([&late_slot] {
+    const reclaim::ReadGuard guard;
+    late_slot = guard.slot_index();
+  }).join();
+  EXPECT_LT(late_slot, std::size_t{8}) << "a new reader did not reuse the lowest free slot";
 }
 
 }  // namespace

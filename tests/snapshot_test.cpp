@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
@@ -407,11 +406,6 @@ TEST(Snapshot, StagedRunsArePinnedNotRecollapsed) {
   }
 }
 
-bool compaction_forced_sync() {
-  const char* e = std::getenv("COSTREAM_COMPACTION");
-  return e != nullptr && std::string(e) == "sync";
-}
-
 TEST(Snapshot, StagedViewsMatchLiveFindAndModel) {
   // Differential: snapshots of arenas whose runs hold cross-run duplicates
   // and tombstones shadowing level data read exactly like the live
@@ -497,7 +491,7 @@ TEST(Snapshot, StagedViewsMatchLiveFindAndModel) {
           }
         }
         EXPECT_GE(max_runs, 3u) << "the arena never held several runs";
-        if (background && filters && !compaction_forced_sync()) {
+        if (background && filters && !cola::compact::sync_forced()) {
           EXPECT_TRUE(saw_mixed_view)
               << "no view held a pending fold's filterless inputs";
         }
