@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks: raw in-RAM operation costs for every
 // dictionary in the library. These complement the figure benches (which
 // model disk behavior) by showing CPU-side constants. The reader-scaling
-// cells at the end compare the sharded facade's barrier-free find() with
-// the same probe on pinned per-shard snapshots at 1, 2 and 4 threads.
+// cells compare the sharded facade's barrier-free find() with the same
+// probe on pinned per-shard snapshots at 1, 2 and 4 threads; the owner
+// cell times the facade's submit side at two queue depths.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -170,6 +172,53 @@ void bm_reader_pinned_find(benchmark::State& state) {
 
 BENCHMARK(bm_reader_facade_find)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 BENCHMARK(bm_reader_pinned_find)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+
+// -- owner submit cost -----------------------------------------------------------
+// The owner's side of insert_batch: normalize 1,024 random keys, cut them at
+// the splitter and queue one run per shard of a 2-shard facade. Both
+// workers are held (their shards' applies wait until released), so each
+// iteration first stands the queues at a depth of `range(0)` batches —
+// untimed — and then times one more batch. At depth 480 each shard holds
+// about 246k queued entries, just under the entry budget. The time must
+// not grow with the depth.
+struct HeldShard {
+  static std::atomic<bool>& held() {
+    static std::atomic<bool> h{false};
+    return h;
+  }
+  static void release() {
+    held().store(false);
+    held().notify_all();
+  }
+  void apply_batch(Span<Op<>> /*ops*/) { held().wait(true); }
+};
+
+void bm_owner_submit(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  shard::ShardedConfig<> cfg;
+  cfg.splitters = {Key{1} << 63};
+  shard::ShardedDictionary<HeldShard> dict(cfg, [](std::size_t) { return HeldShard{}; });
+  Xoshiro256 rng(21);
+  std::vector<std::vector<Entry<>>> batches(64, std::vector<Entry<>>(1024));
+  for (auto& b : batches) {
+    for (Entry<>& e : b) e = {rng(), 1};
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    HeldShard::release();
+    dict.drain();
+    HeldShard::held().store(true);
+    for (std::size_t i = 0; i < depth; ++i) dict.insert_batch(batches[next++ % batches.size()]);
+    state.ResumeTiming();
+    dict.insert_batch(batches[next++ % batches.size()]);
+  }
+  HeldShard::release();
+  dict.drain();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
+}
+
+BENCHMARK(bm_owner_submit)->Arg(0)->Arg(480)->Iterations(300)->UseRealTime();
 
 }  // namespace
 

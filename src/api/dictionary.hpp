@@ -58,11 +58,13 @@
 //     facade call RETURNED before the find began — reads-your-
 //     acknowledged-writes, from any thread — and may additionally reflect
 //     queued runs the worker has applied since; it never observes a
-//     partial batch. Implementation: the worker's published immutable
-//     view + the facade's acknowledged-pending overlay, revalidated
-//     against a per-shard sequence (optimistic, bounded retries); the
-//     linearizability hammer in tests/linearizability_test.cpp is the
-//     enforcement. Both are raw pointers under epoch-based reclamation
+//     partial batch. Implementation: the shard's queued runs (each
+//     acknowledged run stays readable in its queue slot until a published
+//     view covers it) + the worker's published immutable view,
+//     revalidated against a per-shard sequence (optimistic, bounded
+//     retries); the linearizability hammer in
+//     tests/linearizability_test.cpp is the enforcement. All are raw
+//     pointers under epoch-based reclamation
 //     (shard/reclaim.hpp), so a find takes no lock, copies no shared_ptr
 //     and bumps no shared counter: it writes its own thread's
 //     reclamation slot and counter stripe (threads past the 64th share
@@ -351,7 +353,7 @@ struct DictConfig {
   // Shard count S for the concurrent-ingest facade
   // (shard/sharded_dictionary.hpp): 1 = the plain single-writer structure;
   // S > 1 range-partitions the keyspace into S independent shards of the
-  // SAME kind, each owned by one worker thread behind an SPSC queue. S
+  // SAME kind, each owned by one worker thread behind a run queue. S
   // multiplies ingest throughput (each shard runs the per-structure bound
   // at N/S) and is orthogonal to g, which tunes the geometry INSIDE each
   // shard — note the staging arena is per shard, so the facade's deferred

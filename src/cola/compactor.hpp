@@ -344,7 +344,7 @@ class FoldJob {
 
   // -- outputs, valid once the job finished without failing --
   kern::RunBuf<K, V> out;
-  std::vector<std::uint64_t> filter_words;
+  filt::Words filter_words;
   std::uint64_t final_dups = 0;
   std::uint64_t tombstones_dropped = 0;
   std::uint64_t fold_ns = 0;

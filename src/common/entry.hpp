@@ -8,10 +8,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <compare>
 #include <concepts>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -61,6 +61,63 @@ struct EntryKeyLess {
     return k < e.key;
   }
 };
+
+namespace detail {
+
+/// Stable MSD radix sort of [src, src + n) by an unsigned-integral `.key`,
+/// with `buf` as the other buffer; returns whichever holds the sorted run.
+/// The key range [lo, hi] is cut into about one bucket per element (at most
+/// 2^kMaxBits) by the top bits of key - lo, and one stable counting scatter
+/// moves the run into its buckets. A bucket of at most kInsertionMax
+/// elements is then sorted by insertion, a larger one by recursing on its
+/// own, narrower key range. Every level shrinks a bucket's range by at
+/// least 2^5, so the recursion is at most 13 levels deep for 64-bit keys;
+/// a bucket of one key value stops it at once.
+template <class It>
+It* msd_radix_sort(It* src, It* buf, std::size_t n) {
+  using KeyT = decltype(It::key);
+  constexpr unsigned kMaxBits = 12;
+  constexpr std::size_t kInsertionMax = 16;
+  KeyT lo = src[0].key, hi = src[0].key;
+  for (std::size_t i = 1; i < n; ++i) {
+    lo = std::min(lo, src[i].key);
+    hi = std::max(hi, src[i].key);
+  }
+  if (lo == hi) return src;
+  const unsigned bits = std::min<unsigned>(static_cast<unsigned>(std::bit_width(n - 1)), kMaxBits);
+  const auto span_bits = static_cast<unsigned>(std::bit_width(static_cast<KeyT>(hi - lo)));
+  const unsigned shift = span_bits > bits ? span_bits - bits : 0;
+  const auto bucket = [lo, shift](const KeyT& k) {
+    return static_cast<std::size_t>(static_cast<KeyT>(k - lo) >> shift);
+  };
+  const std::size_t buckets = bucket(hi) + 1;  // <= 2^bits
+  // end[b] counts bucket b - 1, then holds where bucket b begins, then
+  // (after the scatter) where bucket b ends.
+  std::uint32_t end[(std::size_t{1} << kMaxBits) + 1];
+  std::fill_n(end, buckets + 1, 0u);
+  for (std::size_t i = 0; i < n; ++i) ++end[bucket(src[i].key) + 1];
+  for (std::size_t b = 1; b < buckets; ++b) end[b] += end[b - 1];
+  for (std::size_t i = 0; i < n; ++i) buf[end[bucket(src[i].key)]++] = std::move(src[i]);
+  for (std::size_t b = 0, begin = 0; b < buckets; begin = end[b++]) {
+    It* const run = buf + begin;
+    const std::size_t len = end[b] - begin;
+    if (len > kInsertionMax) {
+      It* const out = msd_radix_sort(run, src + begin, len);
+      if (out != run) std::move(out, out + len, run);
+      continue;
+    }
+    for (std::size_t i = 1; i < len; ++i) {
+      if (!(run[i].key < run[i - 1].key)) continue;
+      It tmp = std::move(run[i]);
+      std::size_t j = i;
+      for (; j > 0 && tmp.key < run[j - 1].key; --j) run[j] = std::move(run[j - 1]);
+      run[j] = std::move(tmp);
+    }
+  }
+  return buf;
+}
+
+}  // namespace detail
 
 /// Stable bottom-up merge sort by `.key`, using caller-provided scratch
 /// instead of std::stable_sort's internal temporary buffer — the batch
@@ -113,66 +170,38 @@ bool is_sorted_by_key(const std::vector<It>& v) noexcept {
   return true;
 }
 
-/// Stable LSD radix sort by an unsigned-integral `.key` — byte passes with
-/// counting scatters: zero comparisons, zero branch mispredicts, which on
-/// random keys beats any merge sort by ~3x. Passes whose byte is uniform
-/// across the run (common for small key ranges) are skipped. Used by
-/// sort_dedup_newest_wins when the key type allows; ties keep input order
-/// (counting sort is stable), so newest-wins dedup semantics are identical
-/// to the merge-sort path.
+/// Stable radix sort by an unsigned-integral `.key` (detail::msd_radix_sort):
+/// zero comparisons on random keys, where it beats any merge sort — a few
+/// linear passes on random keys, a few more per level on clustered or
+/// duplicate-heavy ones, never quadratic. Ties keep input order, so
+/// newest-wins dedup semantics are identical to the merge-sort path.
 template <class It>
   requires std::unsigned_integral<decltype(It::key)>
 void radix_sort_by_key(std::vector<It>& v, std::vector<It>& scratch) {
-  using KeyT = decltype(It::key);
-  const std::size_t n = v.size();
-  if (n < 2) return;
-  scratch.resize(n);
-  It* src = v.data();
-  It* dst = scratch.data();
-  std::uint32_t hist[256];
-  for (std::size_t pass = 0; pass < sizeof(KeyT); ++pass) {
-    const unsigned shift = static_cast<unsigned>(pass * 8);
-    std::memset(hist, 0, sizeof hist);
-    for (std::size_t i = 0; i < n; ++i) {
-      ++hist[static_cast<std::size_t>((src[i].key >> shift) & 0xff)];
-    }
-    // Uniform byte: every element lands in one bucket — nothing moves.
-    if (hist[static_cast<std::size_t>((src[0].key >> shift) & 0xff)] == n) continue;
-    std::uint32_t sum = 0;
-    for (std::uint32_t& h : hist) {
-      const std::uint32_t c = h;
-      h = sum;
-      sum += c;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[hist[static_cast<std::size_t>((src[i].key >> shift) & 0xff)]++] = src[i];
-    }
-    std::swap(src, dst);
+  if (v.size() < 2) return;
+  scratch.resize(v.size());
+  if (detail::msd_radix_sort(v.data(), scratch.data(), v.size()) != v.data()) {
+    v.swap(scratch);
   }
-  if (src != v.data()) v.swap(scratch);
 }
 
 /// Stable sort by key ascending with the fastest applicable algorithm —
 /// duplicates KEPT, in input order (the stable tie rule newest-wins dedup
 /// relies on). Presorted feeds are detected in O(n) and skip the sort
-/// outright; random integral-key runs take the radix sort, everything else
-/// the branch-light merge sort. This is sort_dedup_newest_wins minus the
+/// outright; unsigned-integral keys take the radix sort (whose MSD pass
+/// beats the merge sort from two elements up), everything else the
+/// branch-light merge sort. This is sort_dedup_newest_wins minus the
 /// dedup pass — callers that dedup elsewhere (the SoA plane kernels in
 /// cola/kernels.hpp dedup after widening) sort through here so both paths
 /// share one algorithm-selection policy.
 template <class It>
 void sort_by_key(std::vector<It>& batch, std::vector<It>& scratch) {
   if (is_sorted_by_key(batch)) return;
-  // Radix wins on larger runs of integral keys; below ~128 elements its
-  // per-pass histogram work (256 counters x key bytes) dominates and the
-  // merge sort is cheaper.
   if constexpr (std::unsigned_integral<decltype(It::key)>) {
-    if (batch.size() >= 128) {
-      radix_sort_by_key(batch, scratch);
-      return;
-    }
+    radix_sort_by_key(batch, scratch);
+  } else {
+    stable_sort_by_key(batch, scratch);
   }
-  stable_sort_by_key(batch, scratch);
 }
 
 /// Normalize an ingest batch in place: stable-sort by key ascending and

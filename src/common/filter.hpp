@@ -11,7 +11,8 @@
 // 1 + FPR * (segs - 1) (see dam/bounds.hpp::cola_filter_search_transfer_bound).
 //
 // Layout: the classic cache-line-blocked design. The filter is an array of
-// 64-byte blocks (8 x u64). A key hashes once; the high half selects the
+// 64-byte blocks (8 x u64), allocated on a cache-line boundary (Words), so
+// every block is exactly one line. A key hashes once; the high half selects the
 // block via the fastrange multiply-shift (no division), the low half seeds
 // kProbes double-hashed bit positions inside that block's 512 bits. A lookup
 // therefore touches exactly ONE 64-byte block regardless of k — the whole
@@ -33,6 +34,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <new>
 #include <type_traits>
 #include <vector>
 
@@ -42,6 +44,27 @@ inline constexpr std::size_t kBlockWords = 8;    // 8 x u64 = one cache line
 inline constexpr std::size_t kBlockBits = kBlockWords * 64;
 inline constexpr std::size_t kBitsPerKey = 10;
 inline constexpr int kProbes = 6;
+
+inline constexpr std::size_t kLineBytes = kBlockWords * sizeof(std::uint64_t);
+
+/// Allocates on a cache-line boundary, so a filter's blocks are its lines.
+template <class T>
+struct LineAllocator {
+  using value_type = T;
+  LineAllocator() = default;
+  template <class U>
+  LineAllocator(const LineAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{kLineBytes}));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    ::operator delete(p, n * sizeof(T), std::align_val_t{kLineBytes});
+  }
+  friend bool operator==(const LineAllocator&, const LineAllocator&) noexcept { return true; }
+};
+
+/// A filter's words: whole blocks, line-aligned; empty = no filter.
+using Words = std::vector<std::uint64_t, LineAllocator<std::uint64_t>>;
 
 /// The FPR the (bits/key, probes, blocked) design point targets; the
 /// measured-rate test and the DAM filter bound both reference this one
@@ -141,13 +164,9 @@ inline const std::uint64_t* filter_block(const std::uint64_t* words, std::size_t
   return words + detail::pick_block(h, nwords / kBlockWords) * kBlockWords;
 }
 
-/// Start loading a block without waiting for it. A block need not sit on
-/// one cache line (the word vector is only malloc-aligned), so both ends
-/// are requested.
-inline void prefetch_block(const std::uint64_t* blk) noexcept {
-  __builtin_prefetch(blk);
-  __builtin_prefetch(blk + kBlockWords - 1);
-}
+/// Start loading a block (one cache line of a Words filter) without
+/// waiting for it.
+inline void prefetch_block(const std::uint64_t* blk) noexcept { __builtin_prefetch(blk); }
 
 /// Test the kProbes bits for hash h in its block, with no branch per
 /// probe; false means DEFINITELY absent.
@@ -172,8 +191,8 @@ inline bool filter_may_contain(const std::uint64_t* words, std::size_t nwords,
 /// Mint a filter over a dense key plane — the per-fold path: one pass,
 /// one hash + one line write per key.
 template <class K>
-inline std::vector<std::uint64_t> build_filter(const K* keys, std::size_t n) {
-  std::vector<std::uint64_t> words(filter_words_for(n), 0);
+inline Words build_filter(const K* keys, std::size_t n) {
+  Words words(filter_words_for(n), 0);
   for (std::size_t i = 0; i < n; ++i) {
     filter_insert(words.data(), words.size(), key_hash(keys[i]));
   }

@@ -98,7 +98,7 @@ struct Segment {
   std::vector<K> keys;              // sorted, unique — the dense probe plane
   std::vector<V> vals;              // vals[i] belongs to keys[i]
   std::vector<std::uint8_t> flags;  // Item flag bits, narrowed (tombstone bit)
-  std::vector<std::uint64_t> filter;  // blocked Bloom words; empty = no filter
+  filt::Words filter;               // blocked Bloom words; empty = no filter
   K min_key{}, max_key{};           // fence keys == keys.front/back
   std::uint32_t tombs = 0;          // tombstones among entries
   std::uint64_t id = 0;             // producer-assigned stable identity
@@ -134,8 +134,7 @@ SegmentRef<K, V> make_segment(std::vector<K>&& keys, std::vector<V>&& vals,
                               std::vector<std::uint8_t>&& flags,
                               std::uint64_t id, std::uint64_t base_addr = 0,
                               std::uint64_t epoch = 0,
-                              bool with_filter = false,
-                              std::vector<std::uint64_t>&& filter = {}) {
+                              bool with_filter = false, filt::Words&& filter = {}) {
   if (keys.empty()) return nullptr;
   auto seg = std::make_shared<Segment<K, V>>();
   seg->keys = std::move(keys);

@@ -156,7 +156,7 @@ inline double sharded_insert_transfer_bound(double n, double shards,
 /// waits out the target shard's queue before probing), so a point read
 /// pays structural transfers only. Those transfers are realized on the
 /// shard-owner side — the facade searches the worker-PUBLISHED immutable
-/// view plus the acknowledged-pending overlay, both in-memory mirrors the
+/// view plus the runs queued for the worker, both in-memory mirrors the
 /// DAM model charges nothing for, while the worker's own leveled searches
 /// (d.shard(s).find(k), which transfer_bounds_test measures) pay exactly
 /// this bound. Staged elements are covered by the published per-staging-run

@@ -1,10 +1,10 @@
 // Epoch-based reclamation for the sharded facade's published read state.
 //
-// The facade's barrier-free find() (shard/sharded_dictionary.hpp) reads two
+// The facade's barrier-free find() (shard/sharded_dictionary.hpp) reads
 // immutable objects per shard through raw pointers: the shard worker's
-// published view and the owner's acknowledged-pending overlay. A replaced
-// object is RETIRED here instead of freed, and freed once no reader can
-// still hold it. A reader writes only its own cache line and performs no
+// published view and the runs queued for the worker. A replaced view or an
+// applied run is RETIRED here instead of freed, and freed once no reader
+// can still hold it. A reader writes only its own cache line and performs no
 // read-modify-write:
 //
 //   * Every thread that reads takes a Slot — one cache line holding the

@@ -8,11 +8,11 @@
 // from the first batch — see "Splitters" below); each shard is an
 // independent dictionary (any of the seven structures, or a type-erased
 // AnyDictionary) owned by exactly one worker thread. The facade's caller
-// scatters normalized batches into per-shard runs and hands each run to its
-// shard's worker over a bounded SPSC ring (shard/spsc_queue.hpp); the worker
-// is the ONLY thread that ever mutates its shard, so no structure needs a
-// single lock — the paper's single-writer amortized analysis holds verbatim
-// per shard at N/S scale (dam/bounds.hpp::sharded_insert_transfer_bound).
+// cuts normalized batches into per-shard runs and queues each run for its
+// shard's worker (see "Queue" below); the worker is the ONLY thread that
+// ever mutates its shard, so no structure needs a single lock — the
+// paper's single-writer amortized analysis holds verbatim per shard at N/S
+// scale (dam/bounds.hpp::sharded_insert_transfer_bound).
 //
 // Background compaction composes without oversubscription: shards with
 // ColaConfig::compaction_threads > 0 all submit folds to the ONE
@@ -32,12 +32,11 @@
 //     path.
 //   * find() is BARRIER-FREE and linearizable: it never drains, never
 //     blocks on writers, and never touches a live shard structure. The
-//     read path (see "Optimistic reads" below) combines the facade's
-//     acknowledged-pending overlay with the shard worker's published
-//     immutable view, so a find always reflects every mutation whose
-//     facade call returned before the find began — reads-your-acknowledged
-//     -writes — and may additionally reflect queued runs the worker has
-//     applied since.
+//     read path (see "Optimistic reads" below) probes the shard's queued
+//     runs and then the shard worker's published immutable view, so a find
+//     always reflects every mutation whose facade call returned before the
+//     find began — reads-your-acknowledged-writes — and may additionally
+//     reflect queued runs the worker has applied since.
 //   * Ordered reads are SNAPSHOT consistent: snapshot() drains all shards
 //     once, pins each shard's worker-published view, and fuses them by
 //     segment-reference concatenation (common/cursor_fusion.hpp::
@@ -45,6 +44,9 @@
 //     newest-first priority). Cursors, range scans, and merge joins read
 //     that frozen, ref-counted view; the snapshot handle itself is
 //     free-threaded.
+//   * Construction builds the S inners concurrently, one thread per shard,
+//     so a durable store recovers its shards in parallel; the factory must
+//     be callable from several threads at once.
 //   * Concurrency contract: MUTATORS (insert/erase/*_batch/flush_stage)
 //     plus shard_mut() and bulk-state probes (shard(), check_invariants())
 //     are single-caller — one external owner thread drives them. The const
@@ -53,50 +55,68 @@
 //     of threads concurrently with the owner's mutations. Moves require
 //     external synchronization (no concurrent calls on either object).
 //
+// Queue: the queued run IS the acknowledgment. A mutator copies each
+// shard's cut of its normalized batch once, into an immutable Run stamped
+// with the shard's 1-based job index, stores it in the ring slot of that
+// index and advances the shard's `submitted` count; then it returns. The
+// worker applies the run, publishes a view covering it (below), clears the
+// slot and retires the run. A submit is O(1) whatever the queue depth. The
+// queue is bounded by entries, not jobs: the owner waits only while the
+// shard's queued runs hold more than kQueueEntries - n entries for an
+// n-entry run (a run larger than the budget waits for an empty queue), or
+// while all kQueueJobs slots are taken — so one shard stuck in a deep
+// fold, a checkpoint or an fsync stalls the owner only once it is a whole
+// budget behind, not after a handful of jobs.
+//
 // Optimistic reads (the seqlock-shaped core, ROADMAP "Barrier-free point
 // reads"): after EVERY applied job, a shard's worker republishes the
 // shard's contents as an immutable view — the inner's snapshot() data (the
 // Gcola pins its staging runs and levels, so a republish costs O(newly
-// appended data), also through DurableDictionary) plus the count of jobs it
-// has applied — then advances the shard's publication sequence to that
-// count. The facade, on every submit, republishes the shard's
-// ACKNOWLEDGED-PENDING overlay: immutable copies of the runs it has handed
-// to the ring that the published view may not cover yet, pruned of the runs
-// the sequence says the view covers.
-// A find loads the sequence, the overlay, then the view, probes overlay
-// runs newest-first and then the view, and re-checks the sequence —
-// retrying on change, bounded: every published view is individually
-// consistent, so the re-check buys freshness, never safety, and a hot
-// writer cannot livelock a reader. The load order is the coverage argument:
-// the worker stores the view, then the sequence; the facade loads the
-// sequence, then stores the overlay; the reader loads the overlay, then the
-// view. Each store-load pair synchronizes, so the worker's view store
-// happens-before the reader's view load, which therefore returns that view
-// or a later one — covering every run pruned from the reader's overlay. No
+// appended data), also through DurableDictionary) — then advances the
+// shard's publication sequence to the count of jobs it has applied, and
+// only then clears the applied job's ring slot. A find
+//   1. loads the sequence s;
+//   2. probes the runs of the jobs past s newest-first: from the job count
+//      `submitted` down, the ring slot of each job j, stopping at the first
+//      slot that no longer holds job j's run (cleared or reused);
+//   3. loads and probes the view unless a run answered, and re-checks the
+//      sequence — retrying on change, bounded: every published view is
+//      individually consistent, so the re-check buys freshness, never
+//      safety, and a hot writer cannot livelock a reader.
+// Coverage: a write acknowledged before the find began sits in some job J
+// whose run was stored before `submitted` reached J, so the find loads a
+// count >= J. If J <= s, the view published with sequence s covers J and
+// the view load, which follows the sequence load, returns it or a later
+// one. Otherwise the scan reaches J and probes its run, unless it stops
+// first at a job j > J whose slot no longer holds j's run — and a slot
+// changes only after its job's view is published: the worker clears it
+// after publishing, and the owner reuses it only after the worker finished
+// that job. So the view the find loads next covers j and everything older,
+// J included. Runs newer than the answer's source were probed first, so
+// the answer is the newest write among the jobs probed and covered. No
 // drain, no wait: ShardedStats::drains stays untouched by find (asserted by
 // tests/linearizability_test.cpp, which hammers this path with reader
 // storms against writer storms and checks every observation against the
 // acknowledged-write envelope).
 //
-// Reclamation (shard/reclaim.hpp): the view and the overlay are raw
-// pointers to immutable objects. The worker retires each view it replaces;
-// the owner hands each overlay it replaces to the worker inside the job it
-// submits, and the worker retires it. A retired object is freed once no
-// reader can still hold it. A find announces the reclamation epoch in its
-// thread's own cache line before it loads either pointer and clears it
-// after the probe, and counts itself in its thread's stripe of the facade's
-// counters — so a find writes no memory another thread writes (no
-// refcount, no lock, no shared counter; past 64 concurrent reader threads
-// stripes are shared, still exact) and reads scale with reader threads.
-// Writers never wait for readers: a stalled reader delays frees, never a
-// publish. With no reader inside find() a retire frees at once; what a
-// reader held is freed by the worker's next retire, or, once writes stop,
-// by its idle pass within kReclaimPoll, so memory at a quiescent point is
-// just what the current views and overlays reference. snapshot() reads the
-// view under the same guard and copies the data it keeps; the facade's
-// submit path never dereferences a view (it prunes against the sequence),
-// so the owner holds no guard and never delays a free. Destroying the
-// facade joins the workers, then frees every published and retired object.
+// Reclamation (shard/reclaim.hpp): the view and the queued runs are raw
+// pointers to immutable objects. The worker retires each view it replaces
+// and each run once it has cleared the run's slot. A retired object is
+// freed once no reader can still hold it. A find announces the reclamation
+// epoch in its thread's own cache line before it loads any of these
+// pointers and clears it after the probe, and counts itself in its
+// thread's stripe of the facade's counters — so a find writes no memory
+// another thread writes (no refcount, no lock, no shared counter; past 64
+// concurrent reader threads stripes are shared, still exact) and reads
+// scale with reader threads. Writers never wait for readers: a stalled
+// reader delays frees, never a publish. With no reader inside find() a
+// retire frees at once; what a reader held is freed by the worker's next
+// retire, or, once writes stop, by its idle pass within kReclaimPoll, so
+// memory at a quiescent point is just what the current views reference.
+// snapshot() reads the view under the same guard and copies the data it
+// keeps; the owner never dereferences a view or a queued run, so it holds
+// no guard and never delays a free. Destroying the facade joins the
+// workers, then frees every published and retired object.
 //
 // Cursors: a sharded cursor seeks against the facade's current snapshot
 // and then STAYS VALID across arbitrary mutations — the segments it reads
@@ -140,23 +160,28 @@
 #include "common/snapshot.hpp"
 #include "common/span.hpp"
 #include "shard/reclaim.hpp"
-#include "shard/spsc_queue.hpp"
 
 namespace costream::shard {
 
 template <class K = Key>
 struct ShardedConfig {
   std::size_t shards = 2;          // S >= 1; 1 = a single-worker baseline
-  std::size_t queue_slots = 8;     // per-shard in-flight runs (ring capacity)
   std::size_t learn_sample_min = 64;  // min first-batch size to learn splitters
   std::vector<K> splitters;        // explicit boundaries (size shards - 1);
                                    // empty = learn from sample / defaults
   // TEST-ONLY planted bug (tests/linearizability_test.cpp self-test): skip
-  // the acknowledged-pending overlay on the read path, so a find can miss
-  // writes whose facade call already returned — exactly the freshness bug
-  // the hammer's oracle must catch. Never set outside that self-test.
+  // the queued runs on the read path, so a find can miss writes whose
+  // facade call already returned — exactly the freshness bug the hammer's
+  // oracle must catch. Never set outside that self-test.
   bool unsafe_skip_pending_overlay = false;
 };
+
+/// Process-wide count of live queued runs (all facades) — the leak oracle
+/// for the run-reclamation tests, like snap::live_segment_count().
+inline std::atomic<std::int64_t>& live_run_count() noexcept {
+  static std::atomic<std::int64_t> n{0};
+  return n;
+}
 
 /// Facade-level counters, all safe to read from any thread (stats() takes
 /// a relaxed atomic photograph). `drains` counts read BARRIERS — snapshot
@@ -177,6 +202,12 @@ struct ShardedStats {
 template <class Inner, class K = Key, class V = Value>
 class ShardedDictionary {
  public:
+  /// Per-shard queue bound (header comment "Queue"): the entries the
+  /// shard's queued runs may hold (about 6 MiB of 24-byte ops) before the
+  /// owner waits, and the most jobs queued at once whatever their size.
+  static constexpr std::size_t kQueueEntries = std::size_t{1} << 18;
+  static constexpr std::size_t kQueueJobs = 1024;
+
   template <class Factory>
     requires std::invocable<Factory&, std::size_t>
   ShardedDictionary(ShardedConfig<K> cfg, Factory&& make_inner) : cfg_(std::move(cfg)) {
@@ -200,10 +231,30 @@ class ShardedDictionary {
             "sharded: non-integral keys need explicit splitters");
       }
     }
+    // The inners are built concurrently, one thread per shard (this one
+    // builds shard 0): building one may recover a whole store from disk,
+    // and shards share nothing.
+    std::vector<std::optional<Inner>> inners(cfg_.shards);
+    std::vector<std::exception_ptr> errors(cfg_.shards);
+    const auto build = [&](std::size_t s) {
+      try {
+        inners[s].emplace(make_inner(s));
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    };
+    {
+      std::vector<std::jthread> builders;
+      builders.reserve(cfg_.shards - 1);
+      for (std::size_t s = 1; s < cfg_.shards; ++s) builders.emplace_back(build, s);
+      build(0);
+    }
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
     shards_.reserve(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      shards_.push_back(
-          std::make_unique<Shard>(make_inner(s), cfg_.queue_slots));
+    for (std::optional<Inner>& d : inners) {
+      shards_.push_back(std::make_unique<Shard>(std::move(*d)));
     }
     // With one shard every key routes to index 0 splitter-free; with
     // explicit splitters the routes are fixed at construction. Otherwise
@@ -338,12 +389,9 @@ class ShardedDictionary {
   void flush_stage() {
     throw_if_failed();
     for (auto& sh : shards_) {
-      Job* job = sh->ring.begin_push();
-      job->kind = Job::Kind::kFlush;
-      sh->ring.commit_push();
-      sh->submitted.fetch_add(1, std::memory_order_release);
-      stats_.jobs.fetch_add(1, std::memory_order_relaxed);
-      sh->items.release();
+      auto run = std::make_unique<Run>();
+      run->flush = true;
+      submit(*sh, std::move(run));
     }
     epoch_.fetch_add(1, std::memory_order_release);
     drain_all();
@@ -354,7 +402,7 @@ class ShardedDictionary {
   /// Barrier-free linearizable point lookup (any thread, never blocks on
   /// writers, zero drains, writes nothing another thread writes — header
   /// comment "Optimistic reads" has the full protocol, the coverage proof
-  /// and the reclamation rule). Probes the acknowledged-pending overlay
+  /// and the reclamation rule). Probes the shard's queued runs
   /// newest-first, then the worker-published immutable view, and
   /// re-validates against the shard's publication sequence with bounded
   /// retries: every view is self-consistent, so the loop bound caps
@@ -372,26 +420,15 @@ class ShardedDictionary {
     stripe.finds.fetch_add(1, std::memory_order_relaxed);
     for (int attempt = 0;; ++attempt) {
       const std::uint64_t seq0 = sh.pub_seq.load(std::memory_order_acquire);
-      // Overlay BEFORE view: the facade prunes the overlay against the
-      // sequence it loaded before publishing, so loading in this order
-      // guarantees our view covers every run pruned from our overlay.
-      const PendingList* pend = sh.pending.load(std::memory_order_seq_cst);
-      const ShardView* view = sh.pub_view.load(std::memory_order_seq_cst);
-      const std::uint64_t applied = view != nullptr ? view->jobs_applied : 0;
       std::optional<V> out;
-      bool hit = false;
-      if (pend != nullptr && !cfg_.unsafe_skip_pending_overlay) {
-        for (std::size_t i = pend->runs.size(); i-- > 0;) {
-          const PendingRun& r = pend->runs[i];
-          if (r.job <= applied) break;  // older runs are all in the view
-          if (const Op<K, V>* op = r.lookup(k)) {
-            hit = true;
-            if (!op->erase) out = op->value;
-            break;
-          }
-        }
-      }
-      if (!hit && view != nullptr && view->data != nullptr) {
+      // Queued runs BEFORE the view: the view loaded after the scan covers
+      // every job the scan stopped short of.
+      const Op<K, V>* op =
+          cfg_.unsafe_skip_pending_overlay ? nullptr : sh.probe_queued(k, seq0);
+      if (op != nullptr) {
+        if (!op->erase) out = op->value;
+      } else if (const ShardView* view = sh.pub_view.load(std::memory_order_seq_cst);
+                 view != nullptr && view->data != nullptr) {
         out = snap::find_in(*view->data, k);
       }
       if (sh.pub_seq.load(std::memory_order_acquire) == seq0 ||
@@ -520,67 +557,45 @@ class ShardedDictionary {
   }
 
  private:
-  struct PendingList;
-
-  /// One run of operations handed to a shard worker. The vector's capacity
-  /// circulates through the ring (the worker clears, the producer refills
-  /// in place), so steady-state dispatch allocates nothing.
-  struct Job {
-    enum class Kind : std::uint8_t { kApply, kFlush };
-    Kind kind = Kind::kApply;
-    std::vector<Op<K, V>> ops;
-    // The overlay this job's submit replaced; the worker retires it.
-    const PendingList* replaced_overlay = nullptr;
-  };
-
-  /// What a shard worker publishes after every applied job: the shard's
-  /// contents as an immutable segment view plus how many jobs it covers.
-  /// Readers reach it through a raw pointer under a reclaim::ReadGuard — a
-  /// republish retires the old view, so it can never be freed out from
-  /// under a reader mid-probe.
-  struct ShardView {
-    std::shared_ptr<const snap::SnapshotData<K, V>> data;
-    std::uint64_t jobs_applied = 0;
-  };
-
-  /// One acknowledged run the published view may not cover yet: either a
-  /// single op or an immutable copy of a normalized batch cut. `job` is the
-  /// shard's 1-based submission index, the coordinate the view's
-  /// jobs_applied is pruned and filtered against.
-  struct PendingRun {
+  /// One queued job: an immutable run of normalized ops (sorted, unique
+  /// keys) or a flush marker, stamped with the shard's 1-based job index.
+  /// The owner allocates it at submit; the worker applies it and find()
+  /// probes it while it sits in its ring slot; the worker retires it once
+  /// a published view covers it.
+  struct Run {
     std::uint64_t job = 0;
-    Op<K, V> one{};  // payload when run == nullptr
-    std::shared_ptr<const std::vector<Op<K, V>>> run;
+    bool flush = false;
+    std::vector<Op<K, V>> ops;
 
-    /// The run's op for `k`, or nullptr. Runs are normalized (sorted,
-    /// unique keys), so this is a binary search.
+    Run() { live_run_count().fetch_add(1, std::memory_order_relaxed); }
+    ~Run() { live_run_count().fetch_sub(1, std::memory_order_relaxed); }
+    Run(const Run&) = delete;
+    Run& operator=(const Run&) = delete;
+
+    /// The run's op for `k`, or nullptr (a binary search).
     const Op<K, V>* lookup(const K& k) const {
-      if (run == nullptr) {
-        return !(one.key < k) && !(k < one.key) ? &one : nullptr;
-      }
       const auto it = std::lower_bound(
-          run->begin(), run->end(), k,
+          ops.begin(), ops.end(), k,
           [](const Op<K, V>& o, const K& key) { return o.key < key; });
-      return it != run->end() && !(k < it->key) ? &*it : nullptr;
+      return it != ops.end() && !(k < it->key) ? &*it : nullptr;
     }
   };
 
-  /// The facade's acknowledged-pending overlay for one shard: every run
-  /// handed to the ring whose coverage by the published view the facade
-  /// had not yet observed at publish time, job index ascending. Immutable
-  /// once stored; the facade replaces the whole list on each submit and
-  /// hands the old one to the worker with the job.
-  struct PendingList {
-    std::vector<PendingRun> runs;
+  /// What a shard worker publishes after every applied job: the shard's
+  /// contents as an immutable segment view (the sequence says how many
+  /// jobs it covers). Readers reach it through a raw pointer under a
+  /// reclaim::ReadGuard — a republish retires the old view, so it can
+  /// never be freed out from under a reader mid-probe.
+  struct ShardView {
+    std::shared_ptr<const snap::SnapshotData<K, V>> data;
   };
 
-  /// A shard: the structure, its inbox, the worker thread that is the
+  /// A shard: the structure, its queue, the worker thread that is the
   /// structure's only writer, and the publication state the barrier-free
   /// readers consume. Heap-allocated (stable address) so the facade stays
   /// movable while workers hold `this` pointers into their shard.
   struct Shard {
-    Shard(Inner d, std::size_t ring_slots)
-        : dict(std::move(d)), ring(ring_slots) {
+    explicit Shard(Inner d) : dict(std::move(d)), ring(kQueueJobs) {
       // Initial publication happens on the CONSTRUCTING thread — it owns
       // the inner until the worker exists — so factory-preloaded contents
       // are visible to barrier-free readers from the first instant.
@@ -588,22 +603,28 @@ class ShardedDictionary {
       worker = std::thread([this] { run(); });
     }
 
-    /// Joins the worker (which has retired every queued job's replaced
-    /// overlay), then frees the published objects; the retire list frees
-    /// the rest. No reader may still be inside find().
+    /// Joins the worker (which has worked off every queued job), then
+    /// frees the published view and the runs a failed worker left in their
+    /// slots; the retire list frees the rest. No reader may still be
+    /// inside find().
     ~Shard() {
       stop.store(true, std::memory_order_release);
       items.release();
       if (worker.joinable()) worker.join();
       delete pub_view.load(std::memory_order_relaxed);
-      delete pending.load(std::memory_order_relaxed);
+      for (const std::atomic<const Run*>& r : ring) delete r.load(std::memory_order_relaxed);
     }
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
 
+    /// The ring slot of 1-based job index `job`.
+    std::atomic<const Run*>& slot(std::uint64_t job) { return ring[(job - 1) % kQueueJobs]; }
+    const std::atomic<const Run*>& slot(std::uint64_t job) const {
+      return ring[(job - 1) % kQueueJobs];
+    }
+
     void run() {
-      std::uint64_t applied = 0;
-      for (;;) {
+      for (std::uint64_t job = 1;;) {
         // Retired objects a reader still held wait for no further job: an
         // idle worker frees them every kReclaimPoll until none is left.
         if (retired.empty()) {
@@ -612,49 +633,68 @@ class ShardedDictionary {
           retired.collect();
           continue;
         }
-        Job* job = ring.peek();
-        if (job == nullptr) {
+        if (submitted.load(std::memory_order_acquire) < job) {
           if (stop.load(std::memory_order_acquire)) return;
           continue;
         }
+        std::atomic<const Run*>& s = slot(job);
+        const Run* r = s.load(std::memory_order_acquire);
+        const std::size_t entries = r->ops.size();
         // A throwing inner structure must not kill the worker (that would
         // std::terminate) and must not wedge the drain barrier: the job is
-        // popped and counted NO MATTER WHAT, the first exception is kept,
-        // and once failed the worker drains its queue without applying —
-        // the facade rethrows on its next call (throw_if_failed). A failed
+        // counted NO MATTER WHAT, the first exception is kept, and once
+        // failed the worker works off its queue without applying — the
+        // facade rethrows on its next call (throw_if_failed). A failed
         // shard also stops republishing, freezing its view at the last
-        // good state (reads rethrow before they could see it).
+        // good state, and leaves its unapplied runs in their slots, where
+        // reads still find them (the owner never reuses such a slot: it
+        // rethrows first, see submit).
         if (!failed.load(std::memory_order_relaxed)) {
+          bool covered = false;
           try {
-            if (job->kind == Job::Kind::kApply) {
-              dict.apply_batch(job->ops);
-            } else {
-              if constexpr (requires(Inner& d) { d.flush_stage(); }) {
-                dict.flush_stage();
-              }
+            if (!r->flush) {
+              dict.apply_batch(r->ops);
+            } else if constexpr (requires(Inner& d) { d.flush_stage(); }) {
+              dict.flush_stage();
             }
-            publish(applied + 1);
+            publish(job);
+            covered = true;
           } catch (...) {
             error = std::current_exception();
             failed.store(true, std::memory_order_release);
           }
+          if (covered) {
+            // The published view covers the run: unlink it, then retire it.
+            s.store(nullptr, std::memory_order_seq_cst);
+            retired.retire(r);
+          }
         }
-        ++applied;
-        retired.retire(std::exchange(job->replaced_overlay, nullptr));
-        job->ops.clear();  // keep capacity: it circulates back to the producer
-        ring.pop();
-        completed.fetch_add(1, std::memory_order_release);
+        completed_entries.fetch_add(entries, std::memory_order_release);
+        completed.store(job++, std::memory_order_release);
       }
+    }
+
+    /// The op for `k` in the newest run queued past job `seq` that holds
+    /// it, or nullptr when none does (header comment "Optimistic reads",
+    /// step 2). The caller holds a reclaim::ReadGuard.
+    const Op<K, V>* probe_queued(const K& k, std::uint64_t seq) const {
+      for (std::uint64_t job = submitted.load(std::memory_order_acquire); job > seq; --job) {
+        const Run* r = slot(job).load(std::memory_order_seq_cst);
+        // Cleared or reused: job is in a published view, and so is every
+        // older one.
+        if (r == nullptr || r->job != job) return nullptr;
+        if (const Op<K, V>* op = r->lookup(k)) return op;
+      }
+      return nullptr;
     }
 
     /// Republish this shard's immutable view covering `applied_jobs` jobs
     /// — the inner's snapshot(), whose per-epoch cache makes an unmutated
     /// republish a refcount bump — then advance the sequence readers
-    /// validate against and the facade prunes against, and retire the
-    /// replaced view. Publish-before-completed ordering lets drainers trust
-    /// the view they load after observing completed == submitted. Runs on
-    /// the worker (on the constructing thread for the initial view), which
-    /// owns `retired`.
+    /// validate against, and retire the replaced view. Publish-before-
+    /// completed ordering lets drainers trust the view they load after
+    /// observing completed == submitted. Runs on the worker (on the
+    /// constructing thread for the initial view), which owns `retired`.
     void publish(std::uint64_t applied_jobs) {
       auto v = std::make_unique<ShardView>();
       if constexpr (requires(const Inner& d) { d.snapshot(); }) {
@@ -662,7 +702,6 @@ class ShardedDictionary {
       }
       // A snapshot-less inner (test doubles) publishes no data: readers
       // see it as empty, exactly like the ordered-read paths would.
-      v->jobs_applied = applied_jobs;
       const ShardView* old = pub_view.exchange(v.release(), std::memory_order_seq_cst);
       pub_seq.store(applied_jobs, std::memory_order_release);
       retired.retire(old);
@@ -676,25 +715,28 @@ class ShardedDictionary {
     }
 
     Inner dict;
-    SpscRing<Job> ring;
-    std::counting_semaphore<(1 << 30)> items{0};
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> submitted{0};  // written by the owner thread
-    // Publication state (header comment "Optimistic reads"): the worker's
-    // immutable view + sequence (the jobs that view covers), and the
-    // facade's acknowledged-pending overlay. All three are read by any
-    // number of reader threads; the worker retires the views it replaces
-    // and the overlays its jobs carry.
+    // The queue (header comment "Queue"): job j's run sits in slot(j) from
+    // its submit until the view covering it is published. The owner writes
+    // this line once per job: the jobs and entries it has queued.
+    alignas(64) std::atomic<std::uint64_t> submitted{0};
+    std::uint64_t submitted_entries = 0;
+    std::vector<std::atomic<const Run*>> ring;
+    // The worker writes this line once per job: the jobs and entries it
+    // has worked off, and the publication state of "Optimistic reads" —
+    // its immutable view and the sequence (the jobs that view covers).
+    alignas(64) std::atomic<std::uint64_t> completed{0};
+    std::atomic<std::uint64_t> completed_entries{0};
     std::atomic<std::uint64_t> pub_seq{0};
     std::atomic<const ShardView*> pub_view{nullptr};
-    std::atomic<const PendingList*> pending{nullptr};
-    reclaim::RetireList retired;  // worker thread
     // First exception the worker caught; `failed` publishes it (the store
     // is release, the facade's load acquire, so the exception_ptr write
-    // happens-before any rethrow).
-    std::exception_ptr error;
+    // happens-before any rethrow). Every find reads `failed`, so it keeps
+    // off the lines written per job.
+    alignas(64) std::exception_ptr error;
     std::atomic<bool> failed{false};
+    std::atomic<bool> stop{false};
+    alignas(64) std::counting_semaphore<(1 << 30)> items{0};
+    reclaim::RetireList retired;  // worker thread: retired views and runs
     std::thread worker;
   };
 
@@ -716,34 +758,30 @@ class ShardedDictionary {
         splitters_.begin());
   }
 
-  /// Replace `sh`'s acknowledged-pending overlay: keep the previous runs
-  /// the published view still does not cover, append the new one, and
-  /// return the old list, which the worker retires. Loading the sequence
-  /// BEFORE storing the overlay is what the readers' overlay-then-view load
-  /// order pairs with (coverage proof in the header comment).
-  const PendingList* publish_pending(Shard& sh, PendingRun&& r) {
-    const std::uint64_t applied = sh.pub_seq.load(std::memory_order_acquire);
-    // The facade is this pointer's only writer, so its current list cannot
-    // be retired under it.
-    const PendingList* prev = sh.pending.load(std::memory_order_relaxed);
-    auto next = std::make_unique<PendingList>();
-    if (prev != nullptr) {
-      next->runs.reserve(prev->runs.size() + 1);
-      for (const PendingRun& pr : prev->runs) {
-        if (pr.job > applied) next->runs.push_back(pr);
+  /// Queue `run` as `sh`'s next job (header comment "Queue"): wait while
+  /// the shard's queue has no room for it, then store it in its slot and
+  /// advance `submitted` — the acknowledgment readers probe.
+  void submit(Shard& sh, std::unique_ptr<Run> run) {
+    const std::uint64_t job = sh.submitted.load(std::memory_order_relaxed) + 1;
+    const std::size_t entries = run->ops.size();
+    for (;;) {
+      const std::uint64_t done = sh.completed.load(std::memory_order_acquire);
+      const std::uint64_t queued =
+          sh.submitted_entries - sh.completed_entries.load(std::memory_order_acquire);
+      if (job - done <= kQueueJobs && (queued == 0 || queued + entries <= kQueueEntries)) {
+        break;
       }
+      std::this_thread::yield();
     }
-    next->runs.push_back(std::move(r));
-    return sh.pending.exchange(next.release(), std::memory_order_seq_cst);
-  }
-
-  /// Acknowledge the run in `job` — publish `r`, its immutable copy, into
-  /// the shard's overlay — then queue the job, which carries the replaced
-  /// overlay to the worker.
-  void submit(Shard& sh, Job* job, PendingRun&& r) {
-    job->replaced_overlay = publish_pending(sh, std::move(r));
-    sh.ring.commit_push();
-    sh.submitted.fetch_add(1, std::memory_order_release);
+    // The wait saw the worker finish the job whose slot this one reuses.
+    // Had that job failed or been dropped, `failed` was set before it was
+    // counted, so this rethrows instead of overwriting a run the failed
+    // worker left queued.
+    throw_if_failed();
+    run->job = job;
+    sh.slot(job).store(run.release(), std::memory_order_release);
+    sh.submitted_entries += entries;
+    sh.submitted.store(job, std::memory_order_release);
     stats_.jobs.fetch_add(1, std::memory_order_relaxed);
     sh.items.release();
   }
@@ -755,25 +793,19 @@ class ShardedDictionary {
       if (splitters_.empty()) default_splitters();
       routes_ready_.store(true, std::memory_order_release);
     }
-    Shard& sh = *shards_[shard_of(o.key)];
-    Job* job = sh.ring.begin_push();
-    job->kind = Job::Kind::kApply;
-    job->ops.push_back(o);
-    PendingRun pr;
-    pr.job = sh.submitted.load(std::memory_order_relaxed) + 1;
-    pr.one = o;
-    submit(sh, job, std::move(pr));
+    auto run = std::make_unique<Run>();
+    run->ops.push_back(o);
+    submit(*shards_[shard_of(o.key)], std::move(run));
     stats_.singles.fetch_add(1, std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
   }
 
   /// Normalize norm_ once (sort + newest-wins dedup, the shared batch
   /// discipline), learn splitters if this is the first mutation, then cut
-  /// the sorted run into per-shard contiguous subranges — no per-element
-  /// scatter copies, just S-1 binary searches over the run. Each cut is
-  /// also published (as an immutable copy) into its shard's acknowledged-
-  /// pending overlay before this call returns: that copy IS the
-  /// acknowledgment barrier-free readers read.
+  /// the sorted run into per-shard contiguous subranges — S-1 binary
+  /// searches over the run — and copy each cut once, into the immutable
+  /// run its shard's worker applies: the queued run IS the acknowledgment
+  /// barrier-free readers read.
   void apply_normalized() {
     throw_if_failed();
     sort_dedup_newest_wins(norm_, norm_scratch_);
@@ -792,14 +824,9 @@ class ShardedDictionary {
                                  })
               : end;
       if (hi != at) {
-        Shard& sh = *shards_[s];
-        Job* job = sh.ring.begin_push();
-        job->kind = Job::Kind::kApply;
-        job->ops.assign(at, hi);
-        PendingRun pr;
-        pr.job = sh.submitted.load(std::memory_order_relaxed) + 1;
-        pr.run = std::make_shared<const std::vector<Op<K, V>>>(at, hi);
-        submit(sh, job, std::move(pr));
+        auto run = std::make_unique<Run>();
+        run->ops.assign(at, hi);
+        submit(*shards_[s], std::move(run));
       }
       at = hi;
     }

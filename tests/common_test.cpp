@@ -1,12 +1,16 @@
 // Tests for the workload generators, RNG, and statistics helpers that the
 // figure benches depend on — a wrong generator silently invalidates every
-// experiment, so these are load-bearing.
+// experiment, so these are load-bearing — and for the batch sorts every
+// structure normalizes with.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
+#include "common/entry.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -179,6 +183,70 @@ TEST(Options, FromEnvScaling) {
   const auto opts = BenchOptions::from_env(1 << 20);
   EXPECT_EQ(opts.max_n, (1u << 20) / 4);
   ::unsetenv("REPRO_SCALE");
+}
+
+// The radix sort against the merge-sort reference: both are stable, so
+// their outputs must match element for element, ties in input order (each
+// element carries its input position). Every size up to 300, then a stride
+// to 5000, then sizes past the 4096-bucket cap, where buckets overflow into
+// recursion; key shapes aimed at the MSD pass's bucketing: uniform, a few
+// dense clusters far apart, a dense range plus one far outlier, keys
+// sharing their high bytes, and keys drawn from a handful of values.
+template <class KeyT>
+struct Tagged {
+  KeyT key{};
+  std::uint32_t pos = 0;
+};
+
+template <class KeyT>
+std::vector<Tagged<KeyT>> sort_input(int shape, std::size_t n, Xoshiro256& rng) {
+  constexpr KeyT kMax = std::numeric_limits<KeyT>::max();
+  std::vector<Tagged<KeyT>> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t k = rng();
+    switch (shape) {
+      case 1: k = (rng() % 8) * (kMax / 8) + rng() % 300; break;  // clusters
+      case 2: k = i + 1 == n ? kMax : rng() % (4 * n + 1); break;  // one outlier
+      case 3: k = (kMax & ~static_cast<KeyT>(0xfff)) | (rng() & 0xfff); break;
+      case 4: k = rng() % 5; break;  // duplicate-heavy
+      default: break;
+    }
+    v[i] = {static_cast<KeyT>(k), static_cast<std::uint32_t>(i)};
+  }
+  return v;
+}
+
+template <class KeyT>
+void check_radix_matches_merge(std::size_t n) {
+  static const char* const kShapes[] = {"uniform", "clustered", "one-outlier",
+                                        "shared-high-bytes", "duplicate-heavy"};
+  for (int shape = 0; shape < 5; ++shape) {
+    Xoshiro256 rng(n * 5 + static_cast<std::uint64_t>(shape));
+    std::vector<Tagged<KeyT>> want = sort_input<KeyT>(shape, n, rng);
+    std::vector<Tagged<KeyT>> got = want, scratch;
+    stable_sort_by_key(want, scratch);
+    radix_sort_by_key(got, scratch);
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(got[i].key == want[i].key && got[i].pos == want[i].pos)
+          << kShapes[shape] << " n=" << n << " at " << i << ": got (" << +got[i].key
+          << ", " << got[i].pos << "), want (" << +want[i].key << ", " << want[i].pos
+          << ")";
+    }
+  }
+}
+
+TEST(BatchSort, RadixMatchesStableMergeSort) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 300; ++n) sizes.push_back(n);
+  for (std::size_t n = 301; n <= 5000; n += 97) sizes.push_back(n);
+  for (const std::size_t n : {4095u, 4096u, 4097u, 5000u, 16384u, 16385u, 40000u}) {
+    sizes.push_back(n);
+  }
+  for (const std::size_t n : sizes) {
+    check_radix_matches_merge<std::uint64_t>(n);
+    if (n <= 5000) check_radix_matches_merge<std::uint16_t>(n);
+  }
 }
 
 }  // namespace

@@ -479,7 +479,7 @@ TEST(Filters, NoFalseNegativesEver) {
                               std::size_t{100}, std::size_t{5000}}) {
     std::vector<K> keys(n);
     for (K& k : keys) k = rng();
-    const std::vector<std::uint64_t> f = filt::build_filter(keys.data(), n);
+    const filt::Words f = filt::build_filter(keys.data(), n);
     ASSERT_EQ(filt::filter_words_for(n), f.size());
     ASSERT_EQ(0u, f.size() % filt::kBlockWords);
     for (const K& k : keys) {
@@ -500,7 +500,7 @@ TEST(Filters, MeasuredFprNearDesignPoint) {
   Xoshiro256 rng(7);
   std::vector<K> keys(n);
   for (std::size_t i = 0; i < n; ++i) keys[i] = rng() | 1ull;  // odd keys only
-  const std::vector<std::uint64_t> f = filt::build_filter(keys.data(), n);
+  const filt::Words f = filt::build_filter(keys.data(), n);
 
   std::size_t hits = 0;
   const std::size_t probes = 200000;

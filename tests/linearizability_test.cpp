@@ -19,14 +19,19 @@
 // threads compute independently. Seeded schedules scale via the
 // LIN_HAMMER_SEEDS env var (CI runs a 32-seed corpus); LIN_HAMMER_FINDS
 // overrides the total find budget. A planted-bug self-test constructs the
-// facade with ShardedConfig::unsafe_skip_pending_overlay and proves the
-// oracle bites (acked-but-unapplied writes go missing and are caught).
+// facade with ShardedConfig::unsafe_skip_pending_overlay (finds skip the
+// queued runs) and proves the oracle bites (acked-but-unapplied writes go
+// missing and are caught).
 //
 // The hammer also asserts find() performs ZERO drain barriers: the
 // ShardedStats::drains delta across the storm must be exactly zero. The
 // read protocol's reclamation (shard/reclaim.hpp) has its own checks:
 // waves of short-lived reader threads must leave exactly the live segments
 // a reader-free twin leaves, and the striped find counters must stay exact.
+// The entry-bounded shard queue is checked against a worker held at a gate:
+// acknowledgment far past a few jobs, the owner blocking exactly at the
+// entry budget and the job cap, an oversized run admitted on an empty
+// queue, and every queued run freed once no reader can hold it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,8 +40,10 @@
 #include <cstdlib>
 #include <latch>
 #include <memory>
+#include <map>
 #include <optional>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,13 +99,15 @@ std::vector<Key> even_splitters(std::size_t shards, Key universe) {
 }
 
 /// Gcola wrapper whose apply_batch busy-waits before applying, widening
-/// the acked-but-unapplied window the pending overlay must cover.
+/// the acked-but-unapplied window the queued runs must cover, and counts
+/// the jobs it has applied.
 struct SlowCola {
   cola::Gcola<> inner;
   std::chrono::microseconds delay{0};
+  std::atomic<std::uint64_t>* applied = nullptr;
 
-  explicit SlowCola(std::chrono::microseconds d)
-      : inner(cola::ingest_tuned(4, 24)), delay(d) {}
+  SlowCola(std::chrono::microseconds d, std::atomic<std::uint64_t>& applied_jobs)
+      : inner(cola::ingest_tuned(4, 24)), delay(d), applied(&applied_jobs) {}
 
   void apply_batch(Span<Op<Key, Value>> ops) {
     const auto until = std::chrono::steady_clock::now() + delay;
@@ -106,6 +115,7 @@ struct SlowCola {
       // busy-wait: keep the worker "applying" while readers probe
     }
     inner.apply_batch(ops);
+    applied->fetch_add(1, std::memory_order_release);
   }
   void flush_stage() { inner.flush_stage(); }
   snap::Snapshot<Key, Value> snapshot() const { return inner.snapshot(); }
@@ -122,6 +132,9 @@ struct HammerResult {
   std::uint64_t violations = 0;
   std::uint64_t drains_delta = 0;
   std::string first_violation;
+  // Most jobs submitted and not yet applied, across all shards, seen after
+  // a mutation returned (only when the inner counts its applied jobs).
+  std::uint64_t max_queued_jobs = 0;
 };
 
 struct HammerOptions {
@@ -132,12 +145,13 @@ struct HammerOptions {
   std::chrono::microseconds apply_delay{0};  // 0 = plain Gcola inner
   unsigned compaction_threads = 0;  // > 0: shard inners defer deep folds
                                     // to the shared background pool
-  bool plant_bug = false;  // skip the pending overlay (self-test)
+  bool plant_bug = false;  // skip the queued runs (self-test)
   bool writer_self_reads = false;  // writer probes its own acked puts
 };
 
 template <class Dict>
-HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
+HammerResult run_hammer_on(Dict& d, const HammerOptions& opt,
+                           const std::atomic<std::uint64_t>* applied_jobs = nullptr) {
   std::vector<std::atomic<std::uint32_t>> issued(kKeys);
   std::vector<std::atomic<std::uint32_t>> acked(kKeys);
   for (std::size_t i = 0; i < kKeys; ++i) {
@@ -199,6 +213,7 @@ HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
 
   // Writer storm on this thread: mixed singles and batches, unique keys
   // per batch, versions issued before the call and acked after it.
+  std::uint64_t max_queued_jobs = 0;
   {
     Xoshiro256 rng(opt.seed);
     std::vector<Op<Key, Value>> batch;
@@ -247,6 +262,12 @@ HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
           probe(batch_keys[rng() % batch_keys.size()]);
         }
       }
+      if (applied_jobs != nullptr) {
+        // A lower bound on the queued jobs: the applied count is read last.
+        const std::uint64_t jobs = d.stats().jobs;
+        max_queued_jobs =
+            std::max(max_queued_jobs, jobs - applied_jobs->load(std::memory_order_acquire));
+      }
       if (violations.load(std::memory_order_relaxed) > 256) break;
     }
     (void)round;
@@ -259,6 +280,7 @@ HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
   res.violations = violations.load(std::memory_order_relaxed);
   res.drains_delta = d.stats().drains - drains_before;
   res.first_violation = first_violation;
+  res.max_queued_jobs = max_queued_jobs;
 
   // Quiescent coherence: once drained, every key must show exactly its
   // final issued version (or be absent if that version is an erase). This
@@ -286,9 +308,10 @@ HammerResult run_hammer(const HammerOptions& opt) {
   sc.splitters = even_splitters(opt.shards, kKeys);
   sc.unsafe_skip_pending_overlay = opt.plant_bug;
   if (opt.apply_delay.count() > 0) {
+    std::atomic<std::uint64_t> applied{0};
     ShardedDictionary<SlowCola> d(
-        sc, [&](std::size_t) { return SlowCola(opt.apply_delay); });
-    return run_hammer_on(d, opt);
+        sc, [&](std::size_t) { return SlowCola(opt.apply_delay, applied); });
+    return run_hammer_on(d, opt, &applied);
   }
   ShardedDictionary<cola::Gcola<>> d(sc, [&opt](std::size_t) {
     cola::ColaConfig cfg = cola::ingest_tuned(4, 24);
@@ -360,7 +383,11 @@ TEST(Linearizability, HammerBarrierFreeFindsStayInEnvelope) {
 
 TEST(Linearizability, HammerSlowWorkerWidensPendingWindows) {
   // A worker that dawdles hundreds of microseconds per job forces nearly
-  // every read to be served from the acknowledged-pending overlay.
+  // every read to be served from the queued runs, and lets the owner run
+  // far ahead: the queues must grow well past the old 8-job rings (more
+  // than 16 jobs queued across two shards means one shard held more than
+  // 8), so reads scan long runs of queued jobs and meet slots the owner
+  // reuses.
   HammerOptions opt;
   opt.shards = 2;
   opt.readers = 4;
@@ -371,6 +398,7 @@ TEST(Linearizability, HammerSlowWorkerWidensPendingWindows) {
   const auto res = run_hammer(opt);
   EXPECT_EQ(res.violations, 0u) << res.first_violation;
   EXPECT_EQ(res.drains_delta, 0u);
+  EXPECT_GT(res.max_queued_jobs, 16u) << "the queues never grew past 8 jobs a shard";
 }
 
 TEST(Linearizability, HammerBackgroundCompactionArms) {
@@ -421,7 +449,7 @@ TEST(Linearizability, HammerServedDurableComposition) {
 }
 
 TEST(Linearizability, PlantedBugSelfTestOracleBites) {
-  // Skip the pending overlay: acked-but-unapplied writes vanish from the
+  // Skip the queued runs: acked-but-unapplied writes vanish from the
   // read path. With a slow worker the writer's own post-ack probes must
   // observe stale state, so the oracle has to flag violations — if it
   // does not, the hammer is toothless and the suite must fail.
@@ -498,8 +526,8 @@ TEST(Linearizability, ConcurrentFindersAndStatsReadersAreRaceFree) {
 // find() while the owner applies a fixed feed (inline folds, fixed
 // splitters: the shard contents are a function of the feed alone); the
 // last batches are applied while the test thread itself holds a read
-// guard, so the workers retire views — holding fold inputs — and overlays
-// a reader could hold. Once the guard is dropped and the facade drained,
+// guard, so the workers retire views — holding fold inputs — and runs a
+// reader could hold. Once the guard is dropped and the facade drained,
 // nothing is applied any more: what the readers held must still be freed,
 // by the workers' idle passes, until the facade holds exactly the live
 // segments a reader-free twin fed the same ops holds. The twin, whose
@@ -597,6 +625,295 @@ TEST(Linearizability, ReaderChurnLeavesWhatAReaderFreeTwinLeaves) {
   EXPECT_EQ(churned.view_segments, twin.view_segments);
   EXPECT_EQ(churned.live, twin.live)
       << "a retired view outlived every reader that could hold it";
+}
+
+// ---- the entry-bounded shard queue -------------------------------------------
+
+/// Holds shard workers inside apply_batch: each apply waits for a permit
+/// until open() lets every apply through. Tests open the gate from a scope
+/// guard declared after the facade, so a failed assertion cannot leave a
+/// worker blocked while the facade's destructor joins it.
+class Gate {
+ public:
+  void pass() {
+    if (!open_.load(std::memory_order_acquire)) permits_.acquire();
+  }
+  void release(std::ptrdiff_t n = 1) { permits_.release(n); }
+  void open() {
+    open_.store(true, std::memory_order_release);
+    permits_.release(1 << 20);  // wakes every worker waiting for a permit
+  }
+
+ private:
+  std::counting_semaphore<(1 << 30)> permits_{0};
+  std::atomic<bool> open_{false};
+};
+
+struct OpenOnExit {
+  Gate& gate;
+  ~OpenOnExit() { gate.open(); }
+};
+
+/// A Gcola shard whose applies wait at a Gate.
+struct GatedCola {
+  cola::Gcola<> inner;
+  Gate* gate;
+
+  explicit GatedCola(Gate& g) : inner(cola::ingest_tuned(4, 24)), gate(&g) {}
+  void apply_batch(Span<Op<Key, Value>> ops) {
+    gate->pass();
+    inner.apply_batch(ops);
+  }
+  void flush_stage() { inner.flush_stage(); }
+  snap::Snapshot<Key, Value> snapshot() const { return inner.snapshot(); }
+};
+
+using Gated = ShardedDictionary<GatedCola>;
+
+Gated gated_facade(Gate& gate, std::size_t shards) {
+  ShardedConfig<> sc;
+  sc.shards = shards;
+  sc.splitters = even_splitters(shards, kKeys);
+  return Gated(sc, [&gate](std::size_t) { return GatedCola(gate); });
+}
+
+/// Spin until `pred` holds or 20 s pass; returns whether it held.
+template <class Pred>
+bool eventually(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Long enough for an owner that is not blocked to make its next call.
+void settle() { std::this_thread::sleep_for(std::chrono::milliseconds(100)); }
+
+TEST(ShardQueue, AcknowledgesFarPastEightJobsWhileWorkersAreHeld) {
+  // Both workers are held in their first apply while the owner acknowledges
+  // 300 jobs — singles and batches. Readers on other threads must find
+  // every acknowledged write, first from the queued runs alone, then while
+  // the released workers publish views and retire the runs under them.
+  Gate gate;
+  auto d = gated_facade(gate, 2);
+  OpenOnExit opener{gate};
+  std::map<Key, Value> model;
+  Xoshiro256 rng(31);
+  for (std::uint32_t job = 1; job <= 300; ++job) {
+    if (job % 3 == 0) {
+      const Key k = rng() % kKeys;
+      d.insert(k, encode(k, job));
+      model[k] = encode(k, job);
+    } else {
+      std::vector<Op<Key, Value>> batch;
+      for (int j = 0; j < 24; ++j) {
+        const Key k = rng() % kKeys;
+        batch.push_back(Op<Key, Value>::put(k, encode(k, job)));
+        model[k] = encode(k, job);
+      }
+      d.apply_batch(Span<Op<Key, Value>>(batch.data(), batch.size()));
+    }
+  }
+  EXPECT_GE(d.stats().jobs, 300u);
+  const std::uint64_t drains_held = d.stats().drains;
+
+  std::atomic<bool> released{false}, stop{false};
+  std::atomic<std::uint64_t> bad{0}, sweeps_held{0}, sweeps_after_release{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const bool after = released.load(std::memory_order_acquire);
+        for (Key k = 0; k < kKeys; ++k) {
+          const auto it = model.find(k);
+          const std::optional<Value> got = d.find(k);
+          const bool ok = it == model.end() ? !got.has_value()
+                                            : got.has_value() && *got == it->second;
+          if (!ok) bad.fetch_add(1, std::memory_order_relaxed);
+        }
+        (after ? sweeps_after_release : sweeps_held).fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  EXPECT_TRUE(eventually([&] { return sweeps_held.load() >= 3; }));
+  EXPECT_EQ(d.stats().drains, drains_held) << "find() took a drain barrier";
+  released.store(true, std::memory_order_release);
+  gate.open();
+  d.drain();
+  const std::uint64_t drains_released = d.stats().drains;
+  EXPECT_TRUE(eventually([&] { return sweeps_after_release.load() >= 6; }));
+  stop.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(bad.load(), 0u) << "a find missed an acknowledged write";
+  EXPECT_EQ(d.stats().drains, drains_released) << "find() took a drain barrier";
+}
+
+TEST(ShardQueue, OwnerBlocksExactlyAtTheEntryBudgetAndTheJobCap) {
+  // One shard, its worker held in its first apply (which still counts as
+  // queued). Runs of a quarter of the budget: four fit exactly, the fifth
+  // waits until the worker finishes one, and each later one waits for the
+  // next.
+  constexpr std::size_t kRun = Gated::kQueueEntries / 4;
+  Gate gate;
+  auto d = gated_facade(gate, 1);
+  OpenOnExit opener{gate};
+  std::atomic<int> acked{0};
+  std::thread owner([&] {
+    std::vector<Entry<>> batch(kRun);
+    for (int b = 0; b < 7; ++b) {
+      for (std::size_t i = 0; i < kRun; ++i) {
+        batch[i] = {static_cast<Key>(b * kRun + i), encode(i, static_cast<std::uint32_t>(b))};
+      }
+      d.insert_batch(batch);
+      acked.fetch_add(1, std::memory_order_release);
+    }
+  });
+  EXPECT_TRUE(eventually([&] { return acked.load() >= 4; }));
+  settle();
+  EXPECT_EQ(acked.load(), 4) << "the owner queued past the entry budget";
+  for (int more = 5; more <= 6; ++more) {
+    gate.release();  // the worker finishes one run: one more fits
+    EXPECT_TRUE(eventually([&] { return acked.load() >= more; }));
+    settle();
+    EXPECT_EQ(acked.load(), more) << "the owner did not wait at the budget";
+  }
+  gate.open();
+  owner.join();
+  EXPECT_EQ(acked.load(), 7);
+  EXPECT_EQ(d.find(6 * kRun + 5), encode(5, 6));
+
+  // Single-op jobs hit the job cap instead: kQueueJobs queued, the next one
+  // waits.
+  Gate gate2;
+  auto d2 = gated_facade(gate2, 1);
+  OpenOnExit opener2{gate2};
+  std::atomic<std::size_t> singles{0};
+  std::thread owner2([&] {
+    for (std::size_t i = 0; i < Gated::kQueueJobs + 2; ++i) {
+      d2.insert(i, i);
+      singles.fetch_add(1, std::memory_order_release);
+    }
+  });
+  EXPECT_TRUE(eventually([&] { return singles.load() >= Gated::kQueueJobs; }));
+  settle();
+  EXPECT_EQ(singles.load(), Gated::kQueueJobs) << "the owner queued past the job cap";
+  gate2.release();
+  EXPECT_TRUE(eventually([&] { return singles.load() >= Gated::kQueueJobs + 1; }));
+  settle();
+  EXPECT_EQ(singles.load(), Gated::kQueueJobs + 1);
+  gate2.open();
+  owner2.join();
+  d2.drain();
+  EXPECT_EQ(d2.find(Gated::kQueueJobs + 1), Value{Gated::kQueueJobs + 1});
+}
+
+TEST(ShardQueue, OversizedRunWaitsForAnEmptyQueueThenHoldsTheRestBack) {
+  // A run larger than the whole budget is admitted once its shard's queue
+  // is empty, and is then the whole queue: the next run waits for it.
+  constexpr std::size_t kHuge = Gated::kQueueEntries + 1000;
+  Gate gate;
+  auto d = gated_facade(gate, 1);
+  OpenOnExit opener{gate};
+  d.insert(kHuge + 7, 1);  // held in the worker's first apply
+  std::atomic<int> acked{0};
+  std::thread owner([&] {
+    std::vector<Entry<>> batch(kHuge);
+    for (std::size_t i = 0; i < kHuge; ++i) batch[i] = {i, i + 1};
+    d.insert_batch(batch);
+    acked.fetch_add(1, std::memory_order_release);
+    d.insert(kHuge + 8, 2);
+    acked.fetch_add(1, std::memory_order_release);
+  });
+  settle();
+  EXPECT_EQ(acked.load(), 0) << "an oversized run was queued behind another";
+  gate.release();  // the queue empties: the oversized run goes in
+  EXPECT_TRUE(eventually([&] { return acked.load() >= 1; }));
+  settle();
+  EXPECT_EQ(acked.load(), 1) << "a run was queued behind an oversized one";
+  EXPECT_EQ(d.find(kHuge - 1), Value{kHuge}) << "the queued oversized run is not readable";
+  gate.open();
+  owner.join();
+  EXPECT_EQ(acked.load(), 2);
+  EXPECT_EQ(d.find(kHuge + 8), Value{2});
+  d.drain();
+  EXPECT_EQ(d.find(kHuge + 7), Value{1});
+}
+
+// Every queued run is freed once no reader can hold it. Readers storm
+// find() while the held workers' queues fill, so they probe the runs; the
+// test thread then holds a read guard while the workers apply and retire
+// every run, so none can be freed at its retire. Once the guard is gone
+// and the facade drained, the workers' idle passes must free them all: the
+// run census, like the segment census, must end where a reader-free twin
+// fed the same jobs ends, whose every retire freed at once.
+struct QueueCensus {
+  std::int64_t queued = 0;         // live runs while the workers were held
+  std::int64_t pinned = 0;         // live runs after the drain, guard held
+  std::int64_t runs = 0;           // live runs once the idle passes ran
+  std::int64_t segments = 0;       // live segments then
+  std::int64_t view_segments = 0;  // segments the current views reference
+};
+
+QueueCensus census_after_held_queue(bool with_readers) {
+  constexpr int kJobs = 300;
+  const std::int64_t run_base = shard::live_run_count().load();
+  const std::int64_t seg_base = snap::live_segment_count().load();
+  QueueCensus census;
+  {
+    Gate gate;
+    auto d = gated_facade(gate, 2);
+    OpenOnExit opener{gate};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> readers;
+    for (int t = 0; with_readers && t < 3; ++t) {
+      readers.emplace_back([&d, &stop, t] {
+        Xoshiro256 rng(static_cast<std::uint64_t>(t + 1));
+        while (!stop.load(std::memory_order_acquire)) (void)d.find(phys(rng() % kKeys));
+      });
+    }
+    for (int b = 0; b < kJobs / 2; ++b) {  // two cuts a batch: one per shard
+      std::vector<Op<Key, Value>> ops = churn_batch(static_cast<std::uint64_t>(b));
+      ops.push_back(Op<Key, Value>::put(0, 1));
+      ops.push_back(Op<Key, Value>::put(kKeys - 1, 1));
+      d.apply_batch(Span<Op<Key, Value>>(ops.data(), ops.size()));
+    }
+    census.queued = shard::live_run_count().load() - run_base;
+    {
+      std::optional<reclaim::ReadGuard> pin;
+      if (with_readers) pin.emplace();
+      gate.open();
+      d.drain();
+      census.pinned = shard::live_run_count().load() - run_base;
+    }
+    stop.store(true, std::memory_order_release);
+    for (auto& th : readers) th.join();
+    d.drain();
+    census.view_segments = static_cast<std::int64_t>(d.snapshot().segments().size());
+    EXPECT_TRUE(eventually([&] {
+      return shard::live_run_count().load() == run_base &&
+             snap::live_segment_count().load() - seg_base == census.view_segments;
+    }));
+    census.runs = shard::live_run_count().load() - run_base;
+    census.segments = snap::live_segment_count().load() - seg_base;
+  }
+  EXPECT_EQ(shard::live_run_count().load(), run_base);
+  EXPECT_EQ(snap::live_segment_count().load(), seg_base);
+  return census;
+}
+
+TEST(ShardQueue, EveryRunIsFreedOnceReadersLeave) {
+  const QueueCensus churned = census_after_held_queue(/*with_readers=*/true);
+  const QueueCensus twin = census_after_held_queue(/*with_readers=*/false);
+  EXPECT_EQ(twin.queued, 300);
+  EXPECT_EQ(churned.queued, 300);
+  EXPECT_EQ(twin.pinned, 0) << "a retire with no reader left a run behind";
+  EXPECT_EQ(churned.pinned, 300) << "a run was freed while a guard could hold it";
+  EXPECT_EQ(churned.runs, twin.runs);
+  EXPECT_EQ(churned.runs, 0);
+  EXPECT_EQ(churned.view_segments, twin.view_segments);
+  EXPECT_EQ(churned.segments, twin.segments);
 }
 
 // Finds are counted in per-thread stripes; the total must stay exact. Two

@@ -57,7 +57,7 @@ struct FuzzOp {
                      // with no drain in between — read-your-writes for the
                      // submitting thread; on sharded arms this lands while
                      // the worker is still applying, exercising the
-                     // optimistic overlay/retry read path
+                     // optimistic queued-run/retry read path
     kFind,
     kRange,
     kCursorSeek,   // re-seek the replay's persistent cursor at `key`
@@ -404,7 +404,7 @@ std::optional<Divergence> replay(D& dict, const std::vector<FuzzOp>& trace) {
         // Read-your-writes: the call above has been acknowledged, so every
         // batch key must read back exactly per the model — no drain, which
         // on sharded arms races the still-applying worker through the
-        // acknowledged-pending overlay.
+        // queued runs.
         for (const Op<>& o : op.ops) {
           const auto got = dict.find(o.key);
           const auto want = ref.find(o.key);
@@ -806,8 +806,8 @@ std::vector<Key> fuzz_splitters(std::size_t shards, Key universe = 400) {
 
 TEST(MixedOpFuzz, ShardedColaCascadeModes) {
   // The concrete hot path: Gcola inners across the cascade modes, behind
-  // real worker threads and SPSC queues. Interleaved finds (barrier-free,
-  // served from the pending overlay + published views while the worker
+  // real worker threads and run queues. Interleaved finds (barrier-free,
+  // served from the queued runs + published views while the worker
   // races ahead), ingest_then_find read-your-writes probes, ranges, and
   // cursor ops; S = 1 is the single-worker degenerate case.
   for (const std::size_t s : {1u, 2u, 4u}) {

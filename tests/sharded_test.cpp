@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -339,6 +340,39 @@ TEST(Sharded, ConfigValidation) {
   EXPECT_THROW(build(4, (std::vector<Key>{10, 10, 20})), std::invalid_argument);
   // Wrong splitter count.
   EXPECT_THROW(build(4, (std::vector<Key>{10, 20})), std::invalid_argument);
+}
+
+TEST(Sharded, InnersAreBuiltConcurrentlyAndAFailedBuildThrows) {
+  // Each shard's inner is built on its own thread (shard 0 on the
+  // constructing one), so durable shards recover in parallel; a factory
+  // that throws for any shard makes the constructor throw it, after every
+  // builder thread has finished.
+  ShardedConfig<> sc;
+  sc.shards = 4;
+  sc.splitters = even_splitters(4, 512);
+  std::mutex mu;
+  std::set<std::thread::id> builders;
+  {
+    ShardedDictionary<btree::BTree<>> d(sc, [&](std::size_t) {
+      const std::lock_guard<std::mutex> lock(mu);
+      builders.insert(std::this_thread::get_id());
+      return btree::BTree<>(512);
+    });
+    d.insert(7, 8);
+    EXPECT_EQ(d.find(7), Value{8});
+  }
+  EXPECT_EQ(builders.size(), 4u);
+  EXPECT_EQ(builders.count(std::this_thread::get_id()), 1u);
+  std::atomic<int> built{0};
+  const auto build = [&] {
+    ShardedDictionary<btree::BTree<>> d(sc, [&](std::size_t s) {
+      if (s == 2) throw std::runtime_error("shard 2 failed to open");
+      built.fetch_add(1);
+      return btree::BTree<>(512);
+    });
+  };
+  EXPECT_THROW(build(), std::runtime_error);
+  EXPECT_EQ(built.load(), 3);
 }
 
 TEST(Sharded, WorkerExceptionSurfacesStickyAndTearsDownCleanly) {

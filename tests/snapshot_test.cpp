@@ -335,6 +335,13 @@ TEST(Snapshot, DetachedHandleReadableFromOtherThreads) {
   EXPECT_TRUE(ok.load()) << "a reader observed something other than the stamp";
 }
 
+/// A segment's filter starts on a cache line, so each 64-byte block is one
+/// line (or the segment has no filter).
+bool filter_line_aligned(const snap::Segment<>& seg) {
+  return seg.filter.empty() ||
+         reinterpret_cast<std::uintptr_t>(seg.filter.data()) % filt::kLineBytes == 0;
+}
+
 /// Staged Gcola configs whose arena holds several runs in front of either
 /// tiered segments or classic (copy-on-snapshot) levels.
 cola::ColaConfig staged_config(bool tiered, bool fences, bool filters) {
@@ -396,6 +403,7 @@ TEST(Snapshot, StagedRunsArePinnedNotRecollapsed) {
       for (const snap::SegmentRef<>& seg : c.segments()) {
         EXPECT_EQ(!seg->filter.empty(), filters)
             << "run segments carry a filter exactly when cfg.filters is on";
+        EXPECT_TRUE(filter_line_aligned(*seg)) << "a staging run's filter straddles lines";
       }
 
       Model model;
@@ -468,6 +476,7 @@ TEST(Snapshot, StagedViewsMatchLiveFindAndModel) {
           bool filtered = false, unfiltered = false;
           for (const snap::SegmentRef<>& seg : snap.segments()) {
             (seg->filter.empty() ? unfiltered : filtered) = true;
+            ASSERT_TRUE(filter_line_aligned(*seg)) << "a fold output's filter straddles lines";
           }
           saw_mixed_view = saw_mixed_view || (filtered && unfiltered);
           expect_snapshot_matches(snap, model, kUniverse);
@@ -499,6 +508,30 @@ TEST(Snapshot, StagedViewsMatchLiveFindAndModel) {
       }
     }
   }
+}
+
+TEST(Snapshot, AdoptedSegmentFiltersAreLineAligned) {
+  // Reopen's path: segments adopted from their planes mint their filters
+  // through the same line-aligned allocation as folds and staging runs.
+  cola::Gcola<> d(staged_config(/*tiered=*/true, /*fences=*/true, /*filters=*/true));
+  for (std::uint64_t id = 10; id > 0; --id) {
+    std::vector<Key> keys;
+    std::vector<Value> vals;
+    for (Key k = 0; k < 100 * id + 3; ++k) {
+      keys.push_back(k * 16 + id);
+      vals.push_back(k);
+    }
+    std::vector<std::uint8_t> flags(keys.size(), 0);
+    d.adopt(std::move(keys), std::move(vals), std::move(flags), id, 0);
+  }
+  const snap::Snapshot<> snap = d.snapshot();
+  ASSERT_EQ(snap.segments().size(), 10u);
+  for (const snap::SegmentRef<>& seg : snap.segments()) {
+    ASSERT_FALSE(seg->filter.empty());
+    EXPECT_TRUE(filter_line_aligned(*seg)) << "adopted segment " << seg->id;
+  }
+  EXPECT_EQ(snap.find(3 * 16 + 5), Value{3});
+  d.check_invariants();
 }
 
 TEST(Snapshot, EmptyAndDefaultHandles) {
