@@ -179,8 +179,10 @@ BENCHMARK(bm_reader_pinned_find)->Threads(1)->Threads(2)->Threads(4)->UseRealTim
 // workers are held (their shards' applies wait until released), so each
 // iteration first stands the queues at a depth of `range(0)` batches —
 // untimed — and then times one more batch. At depth 480 each shard holds
-// about 246k queued entries, just under the entry budget. The time must
-// not grow with the depth.
+// about 246k queued entries, just under the entry budget. Behind a backlog
+// the owner merges the queued runs the held worker has not claimed, each
+// entry once per size class it climbs, so the time may grow with the log
+// of the depth, never with the depth itself.
 struct HeldShard {
   static std::atomic<bool>& held() {
     static std::atomic<bool> h{false};
@@ -199,7 +201,8 @@ void bm_owner_submit(benchmark::State& state) {
   cfg.splitters = {Key{1} << 63};
   shard::ShardedDictionary<HeldShard> dict(cfg, [](std::size_t) { return HeldShard{}; });
   Xoshiro256 rng(21);
-  std::vector<std::vector<Entry<>>> batches(64, std::vector<Entry<>>(1024));
+  // Distinct keys across any 481 consecutive batches: merging dedups none.
+  std::vector<std::vector<Entry<>>> batches(512, std::vector<Entry<>>(1024));
   for (auto& b : batches) {
     for (Entry<>& e : b) e = {rng(), 1};
   }
@@ -209,7 +212,9 @@ void bm_owner_submit(benchmark::State& state) {
     HeldShard::release();
     dict.drain();
     HeldShard::held().store(true);
-    for (std::size_t i = 0; i < depth; ++i) dict.insert_batch(batches[next++ % batches.size()]);
+    for (std::size_t i = 0; i < depth; ++i) {
+      dict.insert_batch(batches[next++ % batches.size()]);
+    }
     state.ResumeTiming();
     dict.insert_batch(batches[next++ % batches.size()]);
   }

@@ -72,9 +72,13 @@ namespace detail {
 /// elements is then sorted by insertion, a larger one by recursing on its
 /// own, narrower key range. Every level shrinks a bucket's range by at
 /// least 2^5, so the recursion is at most 13 levels deep for 64-bit keys;
-/// a bucket of one key value stops it at once.
+/// a bucket of one key value stops it at once. Each level keeps its bucket
+/// ends in `ends` from index `base` on, so the levels share one heap
+/// vector that grows to the deepest path's total and is reused by later
+/// sorts.
 template <class It>
-It* msd_radix_sort(It* src, It* buf, std::size_t n) {
+It* msd_radix_sort(It* src, It* buf, std::size_t n, std::vector<std::uint32_t>& ends,
+                   std::size_t base) {
   using KeyT = decltype(It::key);
   constexpr unsigned kMaxBits = 12;
   constexpr std::size_t kInsertionMax = 16;
@@ -84,25 +88,29 @@ It* msd_radix_sort(It* src, It* buf, std::size_t n) {
     hi = std::max(hi, src[i].key);
   }
   if (lo == hi) return src;
-  const unsigned bits = std::min<unsigned>(static_cast<unsigned>(std::bit_width(n - 1)), kMaxBits);
-  const auto span_bits = static_cast<unsigned>(std::bit_width(static_cast<KeyT>(hi - lo)));
+  const unsigned bits =
+      std::min<unsigned>(static_cast<unsigned>(std::bit_width(n - 1)), kMaxBits);
+  const auto span_bits =
+      static_cast<unsigned>(std::bit_width(static_cast<KeyT>(hi - lo)));
   const unsigned shift = span_bits > bits ? span_bits - bits : 0;
   const auto bucket = [lo, shift](const KeyT& k) {
     return static_cast<std::size_t>(static_cast<KeyT>(k - lo) >> shift);
   };
   const std::size_t buckets = bucket(hi) + 1;  // <= 2^bits
   // end[b] counts bucket b - 1, then holds where bucket b begins, then
-  // (after the scatter) where bucket b ends.
-  std::uint32_t end[(std::size_t{1} << kMaxBits) + 1];
+  // (after the scatter) where bucket b ends. A deeper level may grow
+  // `ends`, so the bucket loop below indexes it rather than keep `end`.
+  if (ends.size() < base + buckets + 1) ends.resize(base + buckets + 1);
+  std::uint32_t* end = ends.data() + base;
   std::fill_n(end, buckets + 1, 0u);
   for (std::size_t i = 0; i < n; ++i) ++end[bucket(src[i].key) + 1];
   for (std::size_t b = 1; b < buckets; ++b) end[b] += end[b - 1];
   for (std::size_t i = 0; i < n; ++i) buf[end[bucket(src[i].key)]++] = std::move(src[i]);
-  for (std::size_t b = 0, begin = 0; b < buckets; begin = end[b++]) {
+  for (std::size_t b = 0, begin = 0; b < buckets; begin = ends[base + b++]) {
     It* const run = buf + begin;
-    const std::size_t len = end[b] - begin;
+    const std::size_t len = ends[base + b] - begin;
     if (len > kInsertionMax) {
-      It* const out = msd_radix_sort(run, src + begin, len);
+      It* const out = msd_radix_sort(run, src + begin, len, ends, base + buckets + 1);
       if (out != run) std::move(out, out + len, run);
       continue;
     }
@@ -180,7 +188,8 @@ template <class It>
 void radix_sort_by_key(std::vector<It>& v, std::vector<It>& scratch) {
   if (v.size() < 2) return;
   scratch.resize(v.size());
-  if (detail::msd_radix_sort(v.data(), scratch.data(), v.size()) != v.data()) {
+  static thread_local std::vector<std::uint32_t> ends;  // bucket ends, all levels
+  if (detail::msd_radix_sort(v.data(), scratch.data(), v.size(), ends, 0) != v.data()) {
     v.swap(scratch);
   }
 }

@@ -60,7 +60,9 @@ struct LineAllocator {
   void deallocate(T* p, std::size_t n) noexcept {
     ::operator delete(p, n * sizeof(T), std::align_val_t{kLineBytes});
   }
-  friend bool operator==(const LineAllocator&, const LineAllocator&) noexcept { return true; }
+  friend bool operator==(const LineAllocator&, const LineAllocator&) noexcept {
+    return true;
+  }
 };
 
 /// A filter's words: whole blocks, line-aligned; empty = no filter.

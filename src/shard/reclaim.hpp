@@ -2,10 +2,10 @@
 //
 // The facade's barrier-free find() (shard/sharded_dictionary.hpp) reads
 // immutable objects per shard through raw pointers: the shard worker's
-// published view and the runs queued for the worker. A replaced view or an
-// applied run is RETIRED here instead of freed, and freed once no reader
-// can still hold it. A reader writes only its own cache line and performs no
-// read-modify-write:
+// published view and the runs queued for the worker. A replaced view, an
+// applied run or a run merged into a newer one is RETIRED here instead of
+// freed, and freed once no reader can still hold it. A reader writes only
+// its own cache line and performs no read-modify-write:
 //
 //   * Every thread that reads takes a Slot — one cache line holding the
 //     reclamation epoch it reads at, 0 while it holds nothing — from a
@@ -150,15 +150,22 @@ inline Slot& this_thread_slot() {
 }
 
 /// Protects every object the calling thread loads through a retiring
-/// pointer while the guard lives. Guards do not nest: a thread holds at
-/// most one at a time.
+/// pointer while the guard lives. Guards nest: an inner guard keeps the
+/// outer one's older announcement, which protects everything the inner
+/// one would, and leaves clearing it to the outer guard.
 class ReadGuard {
  public:
-  ReadGuard() : slot_(this_thread_slot()) {
-    slot_.announced.store(Registry::instance().clock().load(std::memory_order_seq_cst),
-                          std::memory_order_seq_cst);
+  ReadGuard()
+      : slot_(this_thread_slot()),
+        outer_(slot_.announced.load(std::memory_order_relaxed) != 0) {
+    if (!outer_) {
+      slot_.announced.store(Registry::instance().clock().load(std::memory_order_seq_cst),
+                            std::memory_order_seq_cst);
+    }
   }
-  ~ReadGuard() { slot_.announced.store(0, std::memory_order_release); }
+  ~ReadGuard() {
+    if (!outer_) slot_.announced.store(0, std::memory_order_release);
+  }
   ReadGuard(const ReadGuard&) = delete;
   ReadGuard& operator=(const ReadGuard&) = delete;
 
@@ -167,6 +174,7 @@ class ReadGuard {
 
  private:
   Slot& slot_;
+  bool outer_;  // a guard further out already announces
 };
 
 /// Objects one thread unlinked and has not freed yet, of any types.

@@ -44,9 +44,6 @@
 //     newest-first priority). Cursors, range scans, and merge joins read
 //     that frozen, ref-counted view; the snapshot handle itself is
 //     free-threaded.
-//   * Construction builds the S inners concurrently, one thread per shard,
-//     so a durable store recovers its shards in parallel; the factory must
-//     be callable from several threads at once.
 //   * Concurrency contract: MUTATORS (insert/erase/*_batch/flush_stage)
 //     plus shard_mut() and bulk-state probes (shard(), check_invariants())
 //     are single-caller — one external owner thread drives them. The const
@@ -55,30 +52,55 @@
 //     of threads concurrently with the owner's mutations. Moves require
 //     external synchronization (no concurrent calls on either object).
 //
-// Queue: the queued run IS the acknowledgment. A mutator copies each
-// shard's cut of its normalized batch once, into an immutable Run stamped
-// with the shard's 1-based job index, stores it in the ring slot of that
-// index and advances the shard's `submitted` count; then it returns. The
-// worker applies the run, publishes a view covering it (below), clears the
-// slot and retires the run. A submit is O(1) whatever the queue depth. The
+// Queue: the queued run IS the acknowledgment. Every mutation is one job,
+// numbered per shard from 1. A mutator copies each shard's cut of its
+// normalized batch into an immutable Run covering that job, stores it in
+// the ring slot of the job and advances the shard's `submitted` count;
+// then it returns. The worker claims the oldest run, applies it, publishes
+// a view covering its jobs (below), clears its slots and retires it. The
 // queue is bounded by entries, not jobs: the owner waits only while the
 // shard's queued runs hold more than kQueueEntries - n entries for an
 // n-entry run (a run larger than the budget waits for an empty queue), or
-// while all kQueueJobs slots are taken — so one shard stuck in a deep
-// fold, a checkpoint or an fsync stalls the owner only once it is a whole
-// budget behind, not after a handful of jobs.
+// while kQueueJobs jobs are queued — so one shard stuck in a deep fold, a
+// checkpoint or an fsync stalls the owner only once it is a whole budget
+// behind, not after a handful of jobs.
+//
+// Coalescing keeps a deep queue to O(log) runs. Once kMergeRuns runs the
+// worker has not claimed are queued, the owner, before it stores a cut,
+// takes the newest of them while each is at most the size class (bit
+// width of the entry count) of the cut plus what it has taken so far, and
+// merges them with the cut into one run, newest write winning, covering
+// all their jobs — a binary counter over run sizes: past the newest
+// kMergeRuns - 1, the unclaimed runs' size classes strictly fall from
+// oldest to newest, so at most log2(kQueueEntries) + kMergeRuns of them
+// are queued behind the one the worker holds, and an entry is copied at
+// most once per size class it climbs. While the worker keeps up there is
+// too little to take and a submit is one copy of the cut. Every run
+// carries a filter over its keys (common/filter.hpp) when keys hash: a
+// find meets each queued run cold from the owner's cache, and a filter
+// probe reads one line where a binary search reads a chain of them. The
+// owner and the worker race for the oldest unclaimed run through its
+// `claim` word; the loser leaves it to the winner, and a worker that lost
+// waits for the merged run to take the slot. A run covering jobs
+// [first, last] sits in slot(last), where the scans below enter it, and
+// in slot(first), where the worker looks for it; the owner stores a
+// merged run in slot(last) before it advances `submitted` and in
+// slot(first) only after, so the merged run becomes readable the moment
+// it is acknowledged, on every path. The slots between are never read
+// again until their jobs' slots are reused.
 //
 // Optimistic reads (the seqlock-shaped core, ROADMAP "Barrier-free point
-// reads"): after EVERY applied job, a shard's worker republishes the
+// reads"): after EVERY applied run, a shard's worker republishes the
 // shard's contents as an immutable view — the inner's snapshot() data (the
 // Gcola pins its staging runs and levels, so a republish costs O(newly
 // appended data), also through DurableDictionary) — then advances the
-// shard's publication sequence to the count of jobs it has applied, and
-// only then clears the applied job's ring slot. A find
+// shard's publication sequence to the last job the view covers, and only
+// then clears the run's slots. A find
 //   1. loads the sequence s;
-//   2. probes the runs of the jobs past s newest-first: from the job count
-//      `submitted` down, the ring slot of each job j, stopping at the first
-//      slot that no longer holds job j's run (cleared or reused);
+//   2. probes the queued runs past s newest-first: from the job count
+//      `submitted` down, the run in the slot of job j, then the job just
+//      before that run's first, stopping at the first slot that no longer
+//      holds a run covering j (cleared or reused);
 //   3. loads and probes the view unless a run answered, and re-checks the
 //      sequence — retrying on change, bounded: every published view is
 //      individually consistent, so the re-check buys freshness, never
@@ -87,36 +109,41 @@
 // whose run was stored before `submitted` reached J, so the find loads a
 // count >= J. If J <= s, the view published with sequence s covers J and
 // the view load, which follows the sequence load, returns it or a later
-// one. Otherwise the scan reaches J and probes its run, unless it stops
-// first at a job j > J whose slot no longer holds j's run — and a slot
-// changes only after its job's view is published: the worker clears it
-// after publishing, and the owner reuses it only after the worker finished
-// that job. So the view the find loads next covers j and everything older,
-// J included. Runs newer than the answer's source were probed first, so
-// the answer is the newest write among the jobs probed and covered. No
-// drain, no wait: ShardedStats::drains stays untouched by find (asserted by
+// one. Otherwise the scan walks down disjoint, descending job ranges and
+// reaches a run covering J, unless it stops first at a job j > J whose
+// slot no longer holds a run covering j — and a slot stops holding one
+// only after j's view is published: a merge replaces a run by one covering
+// its jobs too, the worker clears a run's slots after publishing the view
+// that covers it, and the owner reuses a slot only after the worker
+// finished its job. So the view the find loads next covers j and
+// everything older, J included. A run holds the newest write of its jobs
+// per key and runs newer than the answer's source were probed first, so
+// the answer is the newest write among the jobs probed and covered. A scan
+// meets O(log) runs (Coalescing, above). No drain, no wait:
+// ShardedStats::drains stays untouched by find (asserted by
 // tests/linearizability_test.cpp, which hammers this path with reader
 // storms against writer storms and checks every observation against the
 // acknowledged-write envelope).
 //
 // Reclamation (shard/reclaim.hpp): the view and the queued runs are raw
 // pointers to immutable objects. The worker retires each view it replaces
-// and each run once it has cleared the run's slot. A retired object is
-// freed once no reader can still hold it. A find announces the reclamation
-// epoch in its thread's own cache line before it loads any of these
-// pointers and clears it after the probe, and counts itself in its
-// thread's stripe of the facade's counters — so a find writes no memory
-// another thread writes (no refcount, no lock, no shared counter; past 64
-// concurrent reader threads stripes are shared, still exact) and reads
-// scale with reader threads. Writers never wait for readers: a stalled
-// reader delays frees, never a publish. With no reader inside find() a
-// retire frees at once; what a reader held is freed by the worker's next
-// retire, or, once writes stop, by its idle pass within kReclaimPoll, so
-// memory at a quiescent point is just what the current views reference.
-// snapshot() reads the view under the same guard and copies the data it
-// keeps; the owner never dereferences a view or a queued run, so it holds
-// no guard and never delays a free. Destroying the facade joins the
-// workers, then frees every published and retired object.
+// and each run once it has cleared the run's slots; the owner retires the
+// runs it merged away. A retired object is freed once no reader can still
+// hold it. A find announces the reclamation epoch in its thread's own
+// cache line before it loads any of these pointers and clears it after the
+// probe, and counts itself in its thread's stripe of the facade's counters
+// — so a find writes no memory another thread writes (no refcount, no
+// lock, no shared counter; past 64 concurrent reader threads stripes are
+// shared, still exact) and reads scale with reader threads. Writers never
+// wait for readers: a stalled reader delays frees, never a publish. With
+// no reader inside find() a retire frees at once; what a reader held is
+// freed by the next retire, or, once writes stop, by the worker's idle
+// pass within kReclaimPoll, so memory at a quiescent point is just what
+// the current views reference. snapshot() reads the view under the same
+// guard and copies the data it keeps. The owner and the worker hold the
+// guard only while they look at runs the other may free: the owner while
+// it picks runs to merge, the worker while it claims one. Destroying the
+// facade joins the workers, then frees every published and retired object.
 //
 // Cursors: a sharded cursor seeks against the facade's current snapshot
 // and then STAYS VALID across arbitrary mutations — the segments it reads
@@ -140,6 +167,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <concepts>
 #include <cstddef>
@@ -157,6 +185,7 @@
 
 #include "common/cursor_fusion.hpp"
 #include "common/entry.hpp"
+#include "common/filter.hpp"
 #include "common/snapshot.hpp"
 #include "common/span.hpp"
 #include "shard/reclaim.hpp"
@@ -190,13 +219,14 @@ inline std::atomic<std::int64_t>& live_run_count() noexcept {
 /// find storm). `finds`/`find_retries` count barrier-free point reads and
 /// how many re-validated against a mid-read republish.
 struct ShardedStats {
-  std::uint64_t jobs = 0;      // runs handed to workers
+  std::uint64_t jobs = 0;      // jobs queued: one per shard a mutation reaches
   std::uint64_t batches = 0;   // facade-level batch calls
   std::uint64_t singles = 0;   // facade-level single-op calls
   std::uint64_t drains = 0;    // read barriers (whole-facade or one-shard)
   std::uint64_t learned_splitters = 0;  // 1 if quantile learning fired
   std::uint64_t finds = 0;         // barrier-free point reads served
   std::uint64_t find_retries = 0;  // sequence re-checks that looped
+  std::uint64_t queue_peak_jobs = 0;  // most jobs a shard held at a submit
 };
 
 template <class Inner, class K = Key, class V = Value>
@@ -207,6 +237,9 @@ class ShardedDictionary {
   /// owner waits, and the most jobs queued at once whatever their size.
   static constexpr std::size_t kQueueEntries = std::size_t{1} << 18;
   static constexpr std::size_t kQueueJobs = 1024;
+  /// A submit merges queued runs once this many unclaimed ones are queued
+  /// (header comment "Coalescing").
+  static constexpr std::size_t kMergeRuns = 4;
 
   template <class Factory>
     requires std::invocable<Factory&, std::size_t>
@@ -231,30 +264,9 @@ class ShardedDictionary {
             "sharded: non-integral keys need explicit splitters");
       }
     }
-    // The inners are built concurrently, one thread per shard (this one
-    // builds shard 0): building one may recover a whole store from disk,
-    // and shards share nothing.
-    std::vector<std::optional<Inner>> inners(cfg_.shards);
-    std::vector<std::exception_ptr> errors(cfg_.shards);
-    const auto build = [&](std::size_t s) {
-      try {
-        inners[s].emplace(make_inner(s));
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    };
-    {
-      std::vector<std::jthread> builders;
-      builders.reserve(cfg_.shards - 1);
-      for (std::size_t s = 1; s < cfg_.shards; ++s) builders.emplace_back(build, s);
-      build(0);
-    }
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
     shards_.reserve(cfg_.shards);
-    for (std::optional<Inner>& d : inners) {
-      shards_.push_back(std::make_unique<Shard>(std::move(*d)));
+    for (std::size_t s = 0; s < cfg_.shards; ++s) {
+      shards_.push_back(std::make_unique<Shard>(make_inner(s)));
     }
     // With one shard every key routes to index 0 splitter-free; with
     // explicit splitters the routes are fixed at construction. Otherwise
@@ -320,6 +332,7 @@ class ShardedDictionary {
     s.drains = stats_.drains.load(std::memory_order_relaxed);
     s.learned_splitters =
         stats_.learned_splitters.load(std::memory_order_relaxed);
+    s.queue_peak_jobs = stats_.queue_peak_jobs.load(std::memory_order_relaxed);
     for (const FindStripe& f : stats_.find_stripes) {
       s.finds += f.finds.load(std::memory_order_relaxed);
       s.find_retries += f.retries.load(std::memory_order_relaxed);
@@ -388,11 +401,7 @@ class ShardedDictionary {
   /// the caller observes the full cost of everything ingested so far.
   void flush_stage() {
     throw_if_failed();
-    for (auto& sh : shards_) {
-      auto run = std::make_unique<Run>();
-      run->flush = true;
-      submit(*sh, std::move(run));
-    }
+    for (auto& sh : shards_) submit(*sh, nullptr, nullptr);
     epoch_.fetch_add(1, std::memory_order_release);
     drain_all();
   }
@@ -415,6 +424,7 @@ class ShardedDictionary {
       return std::nullopt;
     }
     const Shard& sh = *shards_[shard_of(k)];
+    const std::uint64_t hash = kRunFilters ? filt::key_hash(k) : 0;
     const reclaim::ReadGuard guard;  // everything loaded below stays alive
     FindStripe& stripe = stats_.stripe(guard.slot_index());
     stripe.finds.fetch_add(1, std::memory_order_relaxed);
@@ -424,7 +434,7 @@ class ShardedDictionary {
       // Queued runs BEFORE the view: the view loaded after the scan covers
       // every job the scan stopped short of.
       const Op<K, V>* op =
-          cfg_.unsafe_skip_pending_overlay ? nullptr : sh.probe_queued(k, seq0);
+          cfg_.unsafe_skip_pending_overlay ? nullptr : sh.probe_queued(k, hash, seq0);
       if (op != nullptr) {
         if (!op->erase) out = op->value;
       } else if (const ShardView* view = sh.pub_view.load(std::memory_order_seq_cst);
@@ -557,31 +567,61 @@ class ShardedDictionary {
   }
 
  private:
-  /// One queued job: an immutable run of normalized ops (sorted, unique
-  /// keys) or a flush marker, stamped with the shard's 1-based job index.
-  /// The owner allocates it at submit; the worker applies it and find()
-  /// probes it while it sits in its ring slot; the worker retires it once
-  /// a published view covers it.
+  /// Who holds a queued run (Run::claim, header comment "Coalescing").
+  enum Claim : int { kQueued, kApplying, kMerged };
+
+  /// A queued run: the normalized ops (sorted, unique keys) of the jobs
+  /// [first, last] of its shard, newest write per key, or a flush marker.
+  /// The owner builds it at submit; the worker applies it and find()
+  /// probes it while it sits in its slots; the worker retires it once a
+  /// published view covers it, or the owner once it has merged it into a
+  /// newer run.
   struct Run {
-    std::uint64_t job = 0;
+    std::uint64_t first = 0, last = 0;
     bool flush = false;
     std::vector<Op<K, V>> ops;
+    filt::Words filter;  // over the ops' keys (kRunFilters)
+    // The only mutable word: the worker sets kApplying, the owner kMerged,
+    // whichever comes first. Readers never look at it.
+    mutable std::atomic<int> claim{kQueued};
 
     Run() { live_run_count().fetch_add(1, std::memory_order_relaxed); }
     ~Run() { live_run_count().fetch_sub(1, std::memory_order_relaxed); }
     Run(const Run&) = delete;
     Run& operator=(const Run&) = delete;
 
-    /// The run's op for `k`, or nullptr (a binary search).
-    const Op<K, V>* lookup(const K& k) const {
+    bool covers(std::uint64_t job) const noexcept { return first <= job && job <= last; }
+
+    void mint_filter() {
+      if constexpr (kRunFilters) {
+        if (ops.empty()) return;
+        filter.assign(filt::filter_words_for(ops.size()), 0);
+        for (const Op<K, V>& o : ops) {
+          filt::filter_insert(filter.data(), filter.size(), filt::key_hash(o.key));
+        }
+      }
+    }
+
+    /// The run's op for `k` (whose filt::key_hash is `hash`), or nullptr:
+    /// the filter, then a binary search.
+    const Op<K, V>* lookup(const K& k, std::uint64_t hash) const {
+      if (!filter.empty() &&
+          !filt::filter_may_contain(filter.data(), filter.size(), hash)) {
+        return nullptr;
+      }
       const auto it = std::lower_bound(
           ops.begin(), ops.end(), k,
           [](const Op<K, V>& o, const K& key) { return o.key < key; });
       return it != ops.end() && !(k < it->key) ? &*it : nullptr;
     }
+
+    bool take(Claim who) const noexcept {
+      int queued = kQueued;
+      return claim.compare_exchange_strong(queued, who, std::memory_order_acq_rel);
+    }
   };
 
-  /// What a shard worker publishes after every applied job: the shard's
+  /// What a shard worker publishes after every applied run: the shard's
   /// contents as an immutable segment view (the sequence says how many
   /// jobs it covers). Readers reach it through a raw pointer under a
   /// reclaim::ReadGuard — a republish retires the old view, so it can
@@ -605,87 +645,146 @@ class ShardedDictionary {
 
     /// Joins the worker (which has worked off every queued job), then
     /// frees the published view and the runs a failed worker left in their
-    /// slots; the retire list frees the rest. No reader may still be
+    /// slots; the retire lists free the rest. No reader may still be
     /// inside find().
     ~Shard() {
-      stop.store(true, std::memory_order_release);
-      items.release();
+      stop.store(true, std::memory_order_seq_cst);
+      wake();
       if (worker.joinable()) worker.join();
       delete pub_view.load(std::memory_order_relaxed);
-      for (const std::atomic<const Run*>& r : ring) delete r.load(std::memory_order_relaxed);
+      const std::uint64_t end = submitted.load(std::memory_order_relaxed);
+      for (std::uint64_t job = pub_seq.load(std::memory_order_relaxed) + 1; job <= end;) {
+        const Run* r = slot(job).load(std::memory_order_relaxed);
+        job = r->last + 1;
+        delete r;
+      }
     }
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
 
     /// The ring slot of 1-based job index `job`.
-    std::atomic<const Run*>& slot(std::uint64_t job) { return ring[(job - 1) % kQueueJobs]; }
+    std::atomic<const Run*>& slot(std::uint64_t job) {
+      return ring[(job - 1) % kQueueJobs];
+    }
     const std::atomic<const Run*>& slot(std::uint64_t job) const {
       return ring[(job - 1) % kQueueJobs];
     }
 
     void run() {
-      for (std::uint64_t job = 1;;) {
+      for (std::uint64_t next = 1;;) {  // the first job not worked off
+        if (const Run* r = claim(next)) {
+          next = work_off(*r) + 1;
+          continue;
+        }
+        if (stop.load(std::memory_order_seq_cst) &&
+            submitted.load(std::memory_order_acquire) < next) {
+          return;
+        }
+        // Nothing to claim — none queued, or the owner is merging the next
+        // run into a newer one: sleep until a submit wakes the worker. It
+        // announces that it sleeps, then looks once more, so a submit
+        // either is seen by that look or sees the announcement (wake()).
+        // Whoever clears the announcement decides whether a permit is owed,
+        // so at most one is ever outstanding.
+        sleepy.store(true, std::memory_order_seq_cst);
+        const Run* r = claim(next);
+        if (r != nullptr || stop.load(std::memory_order_seq_cst)) {
+          if (!sleepy.exchange(false, std::memory_order_seq_cst)) items.acquire();
+          if (r != nullptr) next = work_off(*r) + 1;
+          continue;
+        }
         // Retired objects a reader still held wait for no further job: an
         // idle worker frees them every kReclaimPoll until none is left.
-        if (retired.empty()) {
+        if (retired.empty() && !merged_pending.load(std::memory_order_acquire)) {
           items.acquire();
         } else if (!items.try_acquire_for(kReclaimPoll)) {
           retired.collect();
-          continue;
+          collect_merged();
+          if (!sleepy.exchange(false, std::memory_order_seq_cst)) items.acquire();
         }
-        if (submitted.load(std::memory_order_acquire) < job) {
-          if (stop.load(std::memory_order_acquire)) return;
-          continue;
-        }
-        std::atomic<const Run*>& s = slot(job);
-        const Run* r = s.load(std::memory_order_acquire);
-        const std::size_t entries = r->ops.size();
-        // A throwing inner structure must not kill the worker (that would
-        // std::terminate) and must not wedge the drain barrier: the job is
-        // counted NO MATTER WHAT, the first exception is kept, and once
-        // failed the worker works off its queue without applying — the
-        // facade rethrows on its next call (throw_if_failed). A failed
-        // shard also stops republishing, freezing its view at the last
-        // good state, and leaves its unapplied runs in their slots, where
-        // reads still find them (the owner never reuses such a slot: it
-        // rethrows first, see submit).
-        if (!failed.load(std::memory_order_relaxed)) {
-          bool covered = false;
-          try {
-            if (!r->flush) {
-              dict.apply_batch(r->ops);
-            } else if constexpr (requires(Inner& d) { d.flush_stage(); }) {
-              dict.flush_stage();
-            }
-            publish(job);
-            covered = true;
-          } catch (...) {
-            error = std::current_exception();
-            failed.store(true, std::memory_order_release);
-          }
-          if (covered) {
-            // The published view covers the run: unlink it, then retire it.
-            s.store(nullptr, std::memory_order_seq_cst);
-            retired.retire(r);
-          }
-        }
-        completed_entries.fetch_add(entries, std::memory_order_release);
-        completed.store(job++, std::memory_order_release);
       }
+    }
+
+    /// Wake a sleeping worker after a submit or at stop (run()).
+    void wake() {
+      if (sleepy.load(std::memory_order_seq_cst) &&
+          sleepy.exchange(false, std::memory_order_seq_cst)) {
+        items.release();
+      }
+    }
+
+    /// The queued run whose first job is `next`, claimed for the worker, or
+    /// nullptr when there is none or the owner took it to merge. The guard
+    /// keeps the run alive until the claim is decided: a run the owner
+    /// took, the owner frees.
+    const Run* claim(std::uint64_t next) {
+      if (submitted.load(std::memory_order_seq_cst) < next) return nullptr;
+      const reclaim::ReadGuard guard;
+      const Run* r = slot(next).load(std::memory_order_seq_cst);
+      return r->take(kApplying) ? r : nullptr;
+    }
+
+    /// Apply a claimed run, publish, retire it; returns its last job.
+    std::uint64_t work_off(const Run& r) {
+      // A throwing inner structure must not kill the worker (that would
+      // std::terminate) and must not wedge the drain barrier: the run is
+      // counted NO MATTER WHAT, the first exception is kept, and once
+      // failed the worker works off its queue without applying — the
+      // facade rethrows on its next call (throw_if_failed). A failed
+      // shard also stops republishing, freezing its view at the last
+      // good state, and leaves its unapplied runs in their slots, where
+      // reads still find them (the owner never reuses such a slot: it
+      // rethrows first, see submit).
+      const std::size_t entries = r.ops.size();
+      const std::uint64_t last = r.last;  // a retire may free r at once
+      if (!failed.load(std::memory_order_relaxed)) {
+        bool covered = false;
+        try {
+          if (!r.flush) {
+            dict.apply_batch(r.ops);
+          } else if constexpr (requires(Inner& d) { d.flush_stage(); }) {
+            dict.flush_stage();
+          }
+          publish(r.last);
+          covered = true;
+        } catch (...) {
+          error = std::current_exception();
+          failed.store(true, std::memory_order_release);
+        }
+        if (covered) {
+          // The published view covers the run: unlink it, then retire it.
+          slot(r.last).store(nullptr, std::memory_order_seq_cst);
+          slot(r.first).store(nullptr, std::memory_order_seq_cst);
+          retired.retire(&r);
+        }
+      }
+      completed_entries.fetch_add(entries, std::memory_order_release);
+      completed.store(last, std::memory_order_release);
+      return last;
     }
 
     /// The op for `k` in the newest run queued past job `seq` that holds
     /// it, or nullptr when none does (header comment "Optimistic reads",
     /// step 2). The caller holds a reclaim::ReadGuard.
-    const Op<K, V>* probe_queued(const K& k, std::uint64_t seq) const {
-      for (std::uint64_t job = submitted.load(std::memory_order_acquire); job > seq; --job) {
+    const Op<K, V>* probe_queued(const K& k, std::uint64_t hash,
+                                 std::uint64_t seq) const {
+      for (std::uint64_t job = submitted.load(std::memory_order_acquire); job > seq;) {
         const Run* r = slot(job).load(std::memory_order_seq_cst);
         // Cleared or reused: job is in a published view, and so is every
         // older one.
-        if (r == nullptr || r->job != job) return nullptr;
-        if (const Op<K, V>* op = r->lookup(k)) return op;
+        if (r == nullptr || !r->covers(job)) return nullptr;
+        if (const Op<K, V>* op = r->lookup(k, hash)) return op;
+        job = r->first - 1;
       }
       return nullptr;
+    }
+
+    /// Free the runs the owner merged away that no reader can still hold
+    /// (owner or worker thread).
+    void collect_merged() {
+      const std::lock_guard<std::mutex> lock(merged_mu);
+      merged.collect();
+      merged_pending.store(!merged.empty(), std::memory_order_release);
     }
 
     /// Republish this shard's immutable view covering `applied_jobs` jobs
@@ -715,13 +814,14 @@ class ShardedDictionary {
     }
 
     Inner dict;
-    // The queue (header comment "Queue"): job j's run sits in slot(j) from
-    // its submit until the view covering it is published. The owner writes
-    // this line once per job: the jobs and entries it has queued.
+    // The queue (header comment "Queue"): a run covering jobs [first, last]
+    // sits in slot(first) and slot(last) from its submit until the view
+    // covering it is published. The owner writes this line once per job:
+    // the jobs and entries it has queued.
     alignas(64) std::atomic<std::uint64_t> submitted{0};
     std::uint64_t submitted_entries = 0;
     std::vector<std::atomic<const Run*>> ring;
-    // The worker writes this line once per job: the jobs and entries it
+    // The worker writes this line once per run: the jobs and entries it
     // has worked off, and the publication state of "Optimistic reads" —
     // its immutable view and the sequence (the jobs that view covers).
     alignas(64) std::atomic<std::uint64_t> completed{0};
@@ -735,8 +835,16 @@ class ShardedDictionary {
     alignas(64) std::exception_ptr error;
     std::atomic<bool> failed{false};
     std::atomic<bool> stop{false};
-    alignas(64) std::counting_semaphore<(1 << 30)> items{0};
+    // The worker's sleep (run()): the owner reads `sleepy` once a submit.
+    alignas(64) std::atomic<bool> sleepy{false};
+    std::counting_semaphore<(1 << 30)> items{0};
     reclaim::RetireList retired;  // worker thread: retired views and runs
+    // Runs the owner merged away: it retires them here and collects at
+    // every submit; the idle worker collects too, so they are freed once
+    // writes stop even while the worker is stalled in a long apply.
+    std::mutex merged_mu;
+    reclaim::RetireList merged;
+    std::atomic<bool> merged_pending{false};
     std::thread worker;
   };
 
@@ -758,17 +866,23 @@ class ShardedDictionary {
         splitters_.begin());
   }
 
-  /// Queue `run` as `sh`'s next job (header comment "Queue"): wait while
-  /// the shard's queue has no room for it, then store it in its slot and
+  /// Queue the ops [at, end) — or, for a null range, a flush marker — as
+  /// `sh`'s next job (header comment "Queue"): wait while the shard's
+  /// queue has no room for it, merge it with the newest runs the worker
+  /// has not claimed (header comment "Coalescing"), store the run and
   /// advance `submitted` — the acknowledgment readers probe.
-  void submit(Shard& sh, std::unique_ptr<Run> run) {
+  void submit(Shard& sh, const Op<K, V>* at, const Op<K, V>* end) {
     const std::uint64_t job = sh.submitted.load(std::memory_order_relaxed) + 1;
-    const std::size_t entries = run->ops.size();
+    const auto entries = static_cast<std::size_t>(end - at);
     for (;;) {
       const std::uint64_t done = sh.completed.load(std::memory_order_acquire);
       const std::uint64_t queued =
           sh.submitted_entries - sh.completed_entries.load(std::memory_order_acquire);
-      if (job - done <= kQueueJobs && (queued == 0 || queued + entries <= kQueueEntries)) {
+      if (job - done <= kQueueJobs &&
+          (queued == 0 || queued + entries <= kQueueEntries)) {
+        if (job - done > stats_.queue_peak_jobs.load(std::memory_order_relaxed)) {
+          stats_.queue_peak_jobs.store(job - done, std::memory_order_relaxed);
+        }
         break;
       }
       std::this_thread::yield();
@@ -778,12 +892,99 @@ class ShardedDictionary {
     // counted, so this rethrows instead of overwriting a run the failed
     // worker left queued.
     throw_if_failed();
-    run->job = job;
-    sh.slot(job).store(run.release(), std::memory_order_release);
-    sh.submitted_entries += entries;
-    sh.submitted.store(job, std::memory_order_release);
+    auto run = std::make_unique<Run>();
+    run->first = run->last = job;
+    run->flush = at == nullptr;
+    taken_.clear();
+    if (!run->flush && sh.completed.load(std::memory_order_acquire) + kMergeRuns < job) {
+      const reclaim::ReadGuard guard;  // the worker may free what the walk meets
+      take_tail(sh, job, entries);
+    }
+    std::size_t taken_entries = 0;
+    for (const Run* t : taken_) taken_entries += t->ops.size();
+    merge_taken(at, end, *run);  // the taken runs are the owner's now
+    const std::uint64_t first = taken_.empty() ? job : taken_.back()->first;
+    run->first = first;
+    run->mint_filter();
+    sh.submitted_entries += run->ops.size();
+    sh.submitted_entries -= taken_entries;
+    // slot(last) before the acknowledgment, slot(first) after it (header
+    // comment "Coalescing"): no reader meets the merged run before it is
+    // acknowledged, and every reader that starts after meets it. Once
+    // acknowledged the run is the worker's to free: it is not read again.
+    const Run* r = run.release();
+    sh.slot(job).store(r, std::memory_order_seq_cst);
+    sh.submitted.store(job, std::memory_order_seq_cst);
+    if (first != job) {
+      sh.slot(first).store(r, std::memory_order_seq_cst);
+      const std::lock_guard<std::mutex> lock(sh.merged_mu);
+      for (const Run* t : taken_) sh.merged.retire(t);
+      sh.merged_pending.store(!sh.merged.empty(), std::memory_order_release);
+    } else if (sh.merged_pending.load(std::memory_order_acquire)) {
+      sh.collect_merged();
+    }
     stats_.jobs.fetch_add(1, std::memory_order_relaxed);
-    sh.items.release();
+    sh.wake();
+  }
+
+  /// Take the queued runs an `entries`-op cut queued as job `job` merges
+  /// with (header comment "Coalescing") into taken_, newest first: none
+  /// while fewer than kMergeRuns unclaimed runs are queued, else the newest
+  /// while each is at most the size class of the cut plus what is taken.
+  /// The caller holds a reclaim::ReadGuard.
+  void take_tail(const Shard& sh, std::uint64_t job, std::size_t entries) {
+    std::size_t unclaimed = 0;
+    for (std::uint64_t j = job - 1; j > 0 && unclaimed < kMergeRuns; ++unclaimed) {
+      const Run* r = sh.slot(j).load(std::memory_order_acquire);
+      if (r == nullptr || !r->covers(j) || r->flush ||
+          r->claim.load(std::memory_order_relaxed) != kQueued) {
+        break;
+      }
+      j = r->first - 1;
+    }
+    if (unclaimed < kMergeRuns) return;
+    std::size_t total = entries;
+    for (std::uint64_t j = job - 1; j > 0;) {
+      const Run* r = sh.slot(j).load(std::memory_order_acquire);
+      if (r == nullptr || !r->covers(j) || r->flush ||
+          std::bit_width(r->ops.size()) > std::bit_width(total) || !r->take(kMerged)) {
+        break;
+      }
+      taken_.push_back(r);
+      total += r->ops.size();
+      j = r->first - 1;
+    }
+  }
+
+  /// Merge the taken runs (newest first in taken_) under the cut [at, end)
+  /// into `out`, newest write winning per key: the cut with the newest run,
+  /// that with the next older, and so on — the runs grow going back, so
+  /// the whole merge costs a small multiple of its output.
+  void merge_taken(const Op<K, V>* at, const Op<K, V>* end, Run& out) {
+    if (taken_.empty()) {
+      out.ops.assign(at, end);
+      return;
+    }
+    for (std::size_t i = 0; i < taken_.size(); ++i) {
+      const std::vector<Op<K, V>>& older = taken_[i]->ops;
+      std::vector<Op<K, V>>& dst = i + 1 == taken_.size() ? out.ops : merge_buf_[i % 2];
+      dst.clear();
+      dst.reserve(older.size() + static_cast<std::size_t>(end - at));
+      const Op<K, V>* o = older.data();
+      const Op<K, V>* const oe = o + older.size();
+      while (o != oe && at != end) {
+        if (o->key < at->key) {
+          dst.push_back(*o++);
+        } else {
+          if (!(at->key < o->key)) ++o;  // the newer write shadows the older
+          dst.push_back(*at++);
+        }
+      }
+      dst.insert(dst.end(), o, oe);
+      dst.insert(dst.end(), at, end);
+      at = dst.data();
+      end = at + dst.size();
+    }
   }
 
   void single(const Op<K, V>& o) {
@@ -793,9 +994,7 @@ class ShardedDictionary {
       if (splitters_.empty()) default_splitters();
       routes_ready_.store(true, std::memory_order_release);
     }
-    auto run = std::make_unique<Run>();
-    run->ops.push_back(o);
-    submit(*shards_[shard_of(o.key)], std::move(run));
+    submit(*shards_[shard_of(o.key)], &o, &o + 1);
     stats_.singles.fetch_add(1, std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
   }
@@ -803,9 +1002,8 @@ class ShardedDictionary {
   /// Normalize norm_ once (sort + newest-wins dedup, the shared batch
   /// discipline), learn splitters if this is the first mutation, then cut
   /// the sorted run into per-shard contiguous subranges — S-1 binary
-  /// searches over the run — and copy each cut once, into the immutable
-  /// run its shard's worker applies: the queued run IS the acknowledgment
-  /// barrier-free readers read.
+  /// searches over the run — and queue each cut as its shard's next job:
+  /// the queued run IS the acknowledgment barrier-free readers read.
   void apply_normalized() {
     throw_if_failed();
     sort_dedup_newest_wins(norm_, norm_scratch_);
@@ -823,11 +1021,7 @@ class ShardedDictionary {
                                    return o.key < k;
                                  })
               : end;
-      if (hi != at) {
-        auto run = std::make_unique<Run>();
-        run->ops.assign(at, hi);
-        submit(*shards_[s], std::move(run));
-      }
+      if (hi != at) submit(*shards_[s], at, hi);
       at = hi;
     }
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
@@ -897,7 +1091,7 @@ class ShardedDictionary {
   /// thread (ShardedStats is the plain photograph stats() returns).
   struct AtomicShardedStats {
     std::atomic<std::uint64_t> jobs{0}, batches{0}, singles{0}, drains{0},
-        learned_splitters{0};
+        learned_splitters{0}, queue_peak_jobs{0};  // the owner writes the peak
     std::array<FindStripe, kFindStripes> find_stripes;
     FindStripe& stripe(std::size_t slot) noexcept {
       return find_stripes[slot % kFindStripes];
@@ -914,6 +1108,8 @@ class ShardedDictionary {
       learned_splitters.store(
           o.learned_splitters.load(std::memory_order_relaxed),
           std::memory_order_relaxed);
+      queue_peak_jobs.store(o.queue_peak_jobs.load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
       for (std::size_t i = 0; i < find_stripes.size(); ++i) {
         find_stripes[i].finds.store(
             o.find_stripes[i].finds.load(std::memory_order_relaxed),
@@ -924,6 +1120,11 @@ class ShardedDictionary {
       }
     }
   };
+
+  /// Queued runs carry a filter when keys hash (common/filter.hpp): a find
+  /// meets each run once, cold from the owner's cache, and a filter probe
+  /// is one line where a binary search is a chain of them.
+  static constexpr bool kRunFilters = filt::filter_hashable_v<K>;
 
   /// Bounded optimistic retries: the re-check buys freshness, not safety
   /// (every published view is individually consistent), so a small cap
@@ -942,6 +1143,8 @@ class ShardedDictionary {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> epoch_{0};
   std::vector<Op<K, V>> norm_, norm_scratch_;  // batch normalization scratch
+  std::vector<const Run*> taken_;             // submit: the runs it merges
+  std::array<std::vector<Op<K, V>>, 2> merge_buf_;  // ...and their partial merges
   // Snapshot cache (one fusion per facade epoch) + fusion scratch, guarded:
   // concurrent acquirers serialize on snap_mu_, the handle they get back is
   // free-threaded.

@@ -191,7 +191,9 @@ TEST(Options, FromEnvScaling) {
 // to 5000, then sizes past the 4096-bucket cap, where buckets overflow into
 // recursion; key shapes aimed at the MSD pass's bucketing: uniform, a few
 // dense clusters far apart, a dense range plus one far outlier, keys
-// sharing their high bytes, and keys drawn from a handful of values.
+// sharing their high bytes, keys drawn from a handful of values, and
+// outliers spaced 2^5 apart above a dense range, so each level peels off
+// one and sizes 17-32 recurse the full 13 levels for 64-bit keys.
 template <class KeyT>
 struct Tagged {
   KeyT key{};
@@ -209,6 +211,9 @@ std::vector<Tagged<KeyT>> sort_input(int shape, std::size_t n, Xoshiro256& rng) 
       case 2: k = i + 1 == n ? kMax : rng() % (4 * n + 1); break;  // one outlier
       case 3: k = (kMax & ~static_cast<KeyT>(0xfff)) | (rng() & 0xfff); break;
       case 4: k = rng() % 5; break;  // duplicate-heavy
+      case 5:  // geometric outliers
+        k = i < 13 ? std::uint64_t{kMax} >> (5 * i) : rng() % 20;
+        break;
       default: break;
     }
     v[i] = {static_cast<KeyT>(k), static_cast<std::uint32_t>(i)};
@@ -218,9 +223,10 @@ std::vector<Tagged<KeyT>> sort_input(int shape, std::size_t n, Xoshiro256& rng) 
 
 template <class KeyT>
 void check_radix_matches_merge(std::size_t n) {
-  static const char* const kShapes[] = {"uniform", "clustered", "one-outlier",
-                                        "shared-high-bytes", "duplicate-heavy"};
-  for (int shape = 0; shape < 5; ++shape) {
+  static const char* const kShapes[] = {"uniform",         "clustered",
+                                        "one-outlier",     "shared-high-bytes",
+                                        "duplicate-heavy", "geometric-outliers"};
+  for (int shape = 0; shape < 6; ++shape) {
     Xoshiro256 rng(n * 5 + static_cast<std::uint64_t>(shape));
     std::vector<Tagged<KeyT>> want = sort_input<KeyT>(shape, n, rng);
     std::vector<Tagged<KeyT>> got = want, scratch;

@@ -403,7 +403,8 @@ TEST(Snapshot, StagedRunsArePinnedNotRecollapsed) {
       for (const snap::SegmentRef<>& seg : c.segments()) {
         EXPECT_EQ(!seg->filter.empty(), filters)
             << "run segments carry a filter exactly when cfg.filters is on";
-        EXPECT_TRUE(filter_line_aligned(*seg)) << "a staging run's filter straddles lines";
+        EXPECT_TRUE(filter_line_aligned(*seg))
+            << "a staging run's filter straddles lines";
       }
 
       Model model;
@@ -476,7 +477,8 @@ TEST(Snapshot, StagedViewsMatchLiveFindAndModel) {
           bool filtered = false, unfiltered = false;
           for (const snap::SegmentRef<>& seg : snap.segments()) {
             (seg->filter.empty() ? unfiltered : filtered) = true;
-            ASSERT_TRUE(filter_line_aligned(*seg)) << "a fold output's filter straddles lines";
+            ASSERT_TRUE(filter_line_aligned(*seg))
+                << "a fold output's filter straddles lines";
           }
           saw_mixed_view = saw_mixed_view || (filtered && unfiltered);
           expect_snapshot_matches(snap, model, kUniverse);
